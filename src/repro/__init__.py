@@ -39,8 +39,8 @@ The package contains everything the paper's experiments depend on:
 ``repro.api``
     The public facade (``docs/API.md``): :class:`~repro.api.Pipeline`
     (configuration → detector/VM wiring), :class:`~repro.api.Session`
-    (incremental analysis with snapshot/restore) and
-    :func:`~repro.api.detector_config`.
+    (incremental analysis with snapshot/restore) and the
+    :mod:`~repro.api.profiles` registry of configuration names.
 ``repro.service``
     The streaming analysis service (``docs/SERVICE.md``): ``repro
     serve`` accepts concurrent clients streaming RPTR v1 traces into
@@ -48,7 +48,7 @@ The package contains everything the paper's experiments depend on:
 """
 
 from repro import api
-from repro.api import Pipeline, Session, detector_config, detector_configs
+from repro.api import Pipeline, Session
 from repro.detectors import (
     DjitDetector,
     HelgrindConfig,
@@ -75,8 +75,6 @@ __all__ = [
     "api",
     "Pipeline",
     "Session",
-    "detector_config",
-    "detector_configs",
     "VM",
     "GuestAPI",
     "SimThread",

@@ -27,15 +27,12 @@ Everything here is re-exported from the package root::
 
 Deprecation policy (see ``docs/API.md``): superseded entry points keep
 working for one PR cycle behind a shim that emits a single
-:class:`DeprecationWarning`, then are removed.  :func:`detector_config`
-and :func:`detector_configs` are the currently shimmed names — use
-``repro.api.profiles.profile(name)`` / ``profile_names()``.
+:class:`DeprecationWarning`, then are removed.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 from pathlib import Path
 
 from repro.api import profiles
@@ -50,49 +47,11 @@ __all__ = [
     "AnalysisProfile",
     "Pipeline",
     "Session",
-    "detector_config",
-    "detector_configs",
     "profiles",
 ]
 
 #: Pickle payload version for :meth:`Session.snapshot`.
 SNAPSHOT_VERSION = 1
-
-#: One-shot latch for the ``detector_config``/``detector_configs``
-#: deprecation shims (one warning per process, not one per call).
-_DETECTOR_CONFIG_WARNED = False
-
-
-def _warn_detector_config() -> None:
-    global _DETECTOR_CONFIG_WARNED
-    if not _DETECTOR_CONFIG_WARNED:
-        _DETECTOR_CONFIG_WARNED = True
-        warnings.warn(
-            "repro.api.detector_config/detector_configs are deprecated; "
-            "use repro.api.profiles.profile(name).config() and "
-            "repro.api.profiles.profile_names()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
-def detector_configs() -> tuple[str, ...]:
-    """Deprecated: use :func:`repro.api.profiles.profile_names`."""
-    _warn_detector_config()
-    return profiles.profile_names()
-
-
-def detector_config(name: str) -> HelgrindConfig:
-    """Deprecated: use ``repro.api.profiles.profile(name).config()``.
-
-    The names are the paper's evaluation vocabulary (``original``,
-    ``hwlc``, ``hwlc+dr``) plus the extensions and the ``predictive``
-    tier; unknown names raise a :class:`ValueError` that lists every
-    known one.
-    """
-    _warn_detector_config()
-    return profiles.profile(name).config()
-
 
 def _case_by_id(case_id: str):
     """Resolve a case id across the evaluation and predictive suites."""

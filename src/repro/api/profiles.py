@@ -1,8 +1,8 @@
 """Analysis profiles: the registry every configuration name routes through.
 
-Historically ``repro.api.detector_config`` hard-coded a string →
-``HelgrindConfig`` table, which worked while every analysis tier was a
-flavour of the same detector.  The predictive tier broke that
+Historically a string → ``HelgrindConfig`` table mapped names to
+configurations, which worked while every analysis tier was a flavour
+of the same detector.  The predictive tier broke that
 assumption: ``predictive`` needs a *different detector class*
 (:class:`~repro.detectors.predict.PredictiveDetector`) layered on the
 ``hwlc+dr`` configuration, plus a finalisation pass the legacy tiers do
@@ -20,9 +20,7 @@ registered object:
   predicted findings at :meth:`finalize` time).
 
 Look-ups go through :func:`profile`; enumeration through
-:func:`profiles`/:func:`profile_names`.  The old
-``detector_config``/``detector_configs`` names keep working from
-``repro.api`` behind a warn-once deprecation shim.
+:func:`profiles`/:func:`profile_names`.
 """
 
 from __future__ import annotations
@@ -100,9 +98,8 @@ def profiles() -> tuple[AnalysisProfile, ...]:
 def profile(name: str) -> AnalysisProfile:
     """Look up a profile by name.
 
-    Unknown names raise a :class:`ValueError` listing every known one —
-    the same contract (and message shape) ``detector_config`` had, so
-    CLI and service error paths read identically.
+    Unknown names raise a :class:`ValueError` listing every known one,
+    so CLI and service error paths read identically.
     """
     try:
         return _REGISTRY[name]

@@ -50,6 +50,7 @@ the per-event allocation entirely with reusable flyweight twins.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import fields as dc_fields
 from typing import BinaryIO, Iterator
@@ -88,9 +89,6 @@ __all__ = [
     "read_blocks",
     "read_events",
     "events_from_bytes",
-    "build_flyweights",
-    "build_block_loops",
-    "replay_tables",
     "replay_blocks",
     "build_block_index",
     "page_histogram",
@@ -534,71 +532,48 @@ _FILL_EXPR = {
 }
 
 
-def _make_filler(cls, fly):
-    """Code-generate ``fill(stacks, strings, row) -> flyweight``.
+def _codegen(lines: list[str]):
+    """Compile one generated ``def _f(...)`` and return the function."""
+    ns = {"_BOOLS": _BOOLS, "_KINDS": _KINDS, "_MODES": _MODES}
+    exec("\n".join(lines), ns)  # noqa: S102 - static template, no user input
+    return ns["_f"]
+
+
+def _make_filler(cls, *, seq: bool):
+    """Code-generate ``fill(fly, stacks, strings, row) -> fly``.
 
     Direct attribute assignments (no setattr loop) keep the per-event
     decode cost at a handful of stores — the same trick namedtuple uses
-    for its generated ``__new__``.
+    for its generated ``__new__``.  The ``seq`` variant decodes SEQ_STEP
+    rows, which carry no step column: it takes the reconstructed step as
+    a fifth argument, so no ``(step, *row)`` tuple is rebuilt per event.
     """
-    lines = [
-        "def _fill(stacks, strings, row, fly=fly):",
-        "    fly.step = row[0]",
-        "    fly.tid = row[1]",
-        "    fly.stack = stacks[row[2]]",
-    ]
-    for i, (name, code) in enumerate(_SPECS[cls], start=3):
+    if seq:
+        lines = ["def _f(fly, stacks, strings, row, step):", "    fly.step = step"]
+    else:
+        lines = ["def _f(fly, stacks, strings, row):", "    fly.step = row[0]"]
+    first = 0 if seq else 1
+    lines.append(f"    fly.tid = row[{first}]")
+    lines.append(f"    fly.stack = stacks[row[{first + 1}]]")
+    for i, (name, code) in enumerate(_SPECS[cls], start=first + 2):
         lines.append(f"    fly.{name} = " + _FILL_EXPR[code].format(i=i))
     lines.append("    return fly")
-    ns = {"fly": fly, "_BOOLS": _BOOLS, "_KINDS": _KINDS, "_MODES": _MODES}
-    exec("\n".join(lines), ns)  # noqa: S102 - static template, no user input
-    return ns["_fill"]
+    return _codegen(lines)
 
 
-def _make_seq_filler(cls, fly):
-    """The SEQ_STEP twin of :func:`_make_filler`: rows carry no step
-    column, the caller passes the reconstructed step — no ``(step,
-    *row)`` tuple rebuild per event."""
-    lines = [
-        "def _fill(stacks, strings, row, step, fly=fly):",
-        "    fly.step = step",
-        "    fly.tid = row[0]",
-        "    fly.stack = stacks[row[1]]",
-    ]
-    for i, (name, code) in enumerate(_SPECS[cls], start=2):
-        lines.append(f"    fly.{name} = " + _FILL_EXPR[code].format(i=i))
-    lines.append("    return fly")
-    ns = {"fly": fly, "_BOOLS": _BOOLS, "_KINDS": _KINDS, "_MODES": _MODES}
-    exec("\n".join(lines), ns)  # noqa: S102 - static template, no user input
-    return ns["_fill"]
-
-
-def build_flyweights() -> list:
-    """Per-type ``fill`` functions, indexed like :data:`EVENT_TYPES`.
-
-    Each call returns fresh flyweight instances (callers that interleave
-    two decoders must not share them).
-    """
-    fillers = []
-    for cls in EVENT_TYPES:
-        fly = _flyweight_class(cls)()
-        fillers.append(_make_filler(cls, fly))
-    return fillers
-
-
-def _make_block_loop(cls, fly, *, seq: bool):
+def _make_block_loop(cls, *, seq: bool):
     """Code-generate one fused single-handler block loop.
 
-    ``loop(block, s, stacks, strings, fn, vm[, base])`` iterates one
-    event block with ``s.iter_unpack`` and calls ``fn(flyweight, vm)``
-    per row.  Plain-int fields are unpacked *directly into flyweight
+    ``loop(fly, block, s, stacks, strings, fn, vm, base)`` iterates one
+    event block with ``s.iter_unpack`` and calls ``fn(fly, vm)`` per
+    row.  Plain-int fields are unpacked *directly into flyweight
     attributes in the for-statement target* — Python allows attribute
     references as unpack targets — so the hot loop has no per-row
     function call, no row tuple, and no subscript chain.  Only
-    table-indexed fields (stack, strings, enums, bools) take one temp +
-    one indexed store each.  The ``seq`` variant decodes SEQ_STEP
-    blocks: rows have no step column, ``fly.step`` comes from a local
-    counter seeded with the block's base step.
+    table-indexed fields (stack, strings, enums) take one temp + one
+    indexed store each.  The ``seq`` variant decodes SEQ_STEP blocks:
+    rows have no step column, ``fly.step`` comes from a local counter
+    seeded with the block's base step.
     """
     targets = [] if seq else ["fly.step"]
     targets += ["fly.tid", "_s"]
@@ -617,64 +592,72 @@ def _make_block_loop(cls, fly, *, seq: bool):
             table = {"kind": "_KINDS", "mode": "_MODES", "str": "strings"}[code]
             body.append(f"        fly.{name} = {table}[_{name}]")
     target = ", ".join(targets)
-    lines = [
-        "def _loop(block, s, stacks, strings, fn, vm, base, fly=fly):",
+    return _codegen([
+        "def _f(fly, block, s, stacks, strings, fn, vm, base):",
         *(["    step = base"] if seq else []),
         f"    for {target} in s.iter_unpack(block):",
         *body,
         "        fn(fly, vm)",
-    ]
-    ns = {"fly": fly, "_BOOLS": _BOOLS, "_KINDS": _KINDS, "_MODES": _MODES}
-    exec("\n".join(lines), ns)  # noqa: S102 - static template, no user input
-    return ns["_loop"]
+    ])
 
 
-def build_block_loops() -> list:
-    """Per-type fused block loops, indexed like :data:`EVENT_TYPES`.
+def _compile_templates(cls) -> tuple:
+    """Code-generate one event type's decode templates.
 
-    Each entry is a ``(plain, seq)`` pair — pick by whether the block
-    carries a base step.  Both share one private flyweight instance per
-    type.  The single-subscriber fast path of
-    :func:`repro.runtime.trace.replay_trace` uses these.
+    Returns ``(flyweight class, fill, seq fill, loop, seq loop)``.  The
+    functions take the flyweight to populate as their first argument and
+    keep nothing between calls, so one compiled set serves every decoder
+    in the process, on any thread.
     """
-    loops = []
-    for cls in EVENT_TYPES:
-        fly = _flyweight_class(cls)()
-        loops.append(
-            (
-                _make_block_loop(cls, fly, seq=False),
-                _make_block_loop(cls, fly, seq=True),
-            )
+    return (
+        _flyweight_class(cls),
+        _make_filler(cls, seq=False),
+        _make_filler(cls, seq=True),
+        _make_block_loop(cls, seq=False),
+        _make_block_loop(cls, seq=True),
+    )
+
+
+@functools.cache
+def _templates() -> tuple[tuple, ...]:
+    """Every type's :func:`_compile_templates`, indexed like
+    :data:`EVENT_TYPES`: compiled on first use, then shared by every
+    decoder in the process.  The 64 ``exec`` calls cost milliseconds —
+    more than a whole small served session — so they must not run per
+    decoder.  Two threads racing the first call may both compile; either
+    result serves, since the templates hold no state."""
+    return tuple(_compile_templates(cls) for cls in EVENT_TYPES)
+
+
+def _dispatch_table(handler_table) -> list[tuple]:
+    """The per-type dispatch table of :func:`replay_blocks` and
+    :meth:`StreamDecoder.bind` — one entry per :data:`EVENT_TYPES` index,
+    so a block costs a single list index::
+
+        (struct variants, single handler or None, handlers, flyweight,
+         fill, seq fill, loop, seq loop, bulk consumer or None)
+
+    Every call stamps fresh flyweight instances (one per type, shared by
+    that entry's fills and loops), so two tables never share mutable
+    state and concurrent decoders stay isolated; the compiled functions
+    come from the process-wide :func:`_templates`.
+    """
+    return [
+        (
+            _ROW_STRUCTS[i],
+            fns[0] if len(fns) == 1 else None,
+            tuple(fns),
+            fly_class(),
+            fill,
+            seq_fill,
+            loop,
+            seq_loop,
+            _bulk_for(i, fns),
         )
-    return loops
-
-
-#: Lazily-built shared decode tables for :func:`replay_trace` — the
-#: codegen (~48 ``exec`` calls) costs a few milliseconds, which would
-#: otherwise dwarf the decode itself on small traces.  The flyweights
-#: inside are shared: fine for any number of *sequential* replays in a
-#: process, not for concurrent ones (use :func:`build_block_loops` /
-#: :func:`build_flyweights` for private instances).
-_REPLAY_TABLES: tuple[list, list, list] | None = None
-
-
-def replay_tables() -> tuple[list, list, list]:
-    """``(block_loops, fillers, seq_fillers)``, built once and cached.
-
-    The two filler lists share one flyweight per type (a plain and a
-    SEQ_STEP decode of the same block must populate the same object);
-    the block loops keep their own.
-    """
-    global _REPLAY_TABLES
-    if _REPLAY_TABLES is None:
-        fillers = []
-        seq_fillers = []
-        for cls in EVENT_TYPES:
-            fly = _flyweight_class(cls)()
-            fillers.append(_make_filler(cls, fly))
-            seq_fillers.append(_make_seq_filler(cls, fly))
-        _REPLAY_TABLES = (build_block_loops(), fillers, seq_fillers)
-    return _REPLAY_TABLES
+        for i, (fns, (fly_class, fill, seq_fill, loop, seq_loop)) in enumerate(
+            zip(handler_table, _templates())
+        )
+    ]
 
 
 class ReplayStats:
@@ -757,23 +740,7 @@ def replay_blocks(
     """
     if not data.startswith(MAGIC):
         raise ValueError("not a binary trace (bad magic)")
-    loops, fillers, seq_fillers = replay_tables()
-    # One merged per-type dispatch entry — a single list index per block
-    # instead of separate struct/handler/loop/filler lookups:
-    # ``(struct variants, single handler or None, handlers, (plain,
-    # seq) loops, filler, seq filler, bulk consumer or None)``.
-    dispatch = [
-        (
-            _ROW_STRUCTS[i],
-            fns[0] if len(fns) == 1 else None,
-            fns,
-            loops[i],
-            fillers[i],
-            seq_fillers[i],
-            _bulk_for(i, fns),
-        )
-        for i, fns in enumerate(handler_table)
-    ]
+    dispatch = _dispatch_table(handler_table)
     view = memoryview(data)
     pos = len(MAGIC)
     end = len(data)
@@ -823,31 +790,31 @@ def replay_blocks(
                     # bytes — no memoryview slice, no iterator.
                     row = s.unpack_from(data, pos)
                     if base is None:
-                        single(entry[4](stacks, strings, row), vm)
+                        single(entry[4](entry[3], stacks, strings, row), vm)
                     else:
-                        single(entry[5](stacks, strings, row, base), vm)
+                        single(
+                            entry[5](entry[3], stacks, strings, row, base), vm
+                        )
                 else:
                     block = view[pos:pos + size]
-                    bulk = entry[6]
+                    bulk = entry[8]
                     if bulk is None or not bulk(block, s, base, stacks, vm):
-                        pair = entry[3]
-                        if base is None:
-                            pair[0](block, s, stacks, strings, single, vm, 0)
-                        else:
-                            pair[1](block, s, stacks, strings, single, vm, base)
+                        loop = entry[6] if base is None else entry[7]
+                        loop(entry[3], block, s, stacks, strings, single, vm, base)
             elif entry[2]:
                 fns = entry[2]
+                fly = entry[3]
                 block = view[pos:pos + size]
                 if base is None:
                     fill = entry[4]
                     for row in s.iter_unpack(block):
-                        event = fill(stacks, strings, row)
+                        event = fill(fly, stacks, strings, row)
                         for fn in fns:
                             fn(event, vm)
                 else:
                     fill = entry[5]
                     for i, row in enumerate(s.iter_unpack(block)):
-                        event = fill(stacks, strings, row, base + i)
+                        event = fill(fly, stacks, strings, row, base + i)
                         for fn in fns:
                             fn(event, vm)
             pos += size
@@ -1028,8 +995,20 @@ def page_histogram(
 # ----------------------------------------------------------------------
 
 
+#: Largest record a streamed reader accepts, in declared bytes: a
+#: STRING's length, a STACK's frame count (every frame id takes at least
+#: one byte) or a BLOCK's rows × row size.  The writer's largest record
+#: is a full default block — 4096 rows of at most 36 B, under 150 KiB —
+#: so anything bigger is corrupt.  Rejecting it on the header bounds the
+#: bytes :class:`StreamDecoder` ever holds pending.
+MAX_RECORD_BYTES = 1 << 20
+
+
 def _try_varint(data: bytes, pos: int, end: int) -> tuple[int, int] | None:
-    """Read unsigned LEB128 at ``pos``; ``None`` if it runs off ``end``."""
+    """Read unsigned LEB128 at ``pos``; ``None`` if it runs off ``end``.
+
+    A varint wider than 64 bits is corrupt (and, unchecked, would keep
+    the decoder buffering continuation bytes forever)."""
     result = 0
     shift = 0
     while pos < end:
@@ -1039,7 +1018,15 @@ def _try_varint(data: bytes, pos: int, end: int) -> tuple[int, int] | None:
         if not b & 0x80:
             return result, pos
         shift += 7
+        if shift >= 64:
+            raise ValueError("corrupt trace: varint longer than 64 bits")
     return None
+
+
+def _oversized(what: str) -> ValueError:
+    return ValueError(
+        f"corrupt trace: {what} exceeds the {MAX_RECORD_BYTES}-byte record limit"
+    )
 
 
 class StreamDecoder:
@@ -1055,12 +1042,18 @@ class StreamDecoder:
     Dispatch uses the exact machinery of :func:`replay_blocks` — fused
     codegen loops for single-subscriber types, shared flyweights for
     multi-subscriber ones, undecoded skipping for types nobody wants —
-    but with *private* tables (built at :meth:`bind` time), so any
-    number of decoders can run on concurrent threads (one per analysis
-    session) without sharing mutable flyweight state.
+    with the process-wide compiled templates but *private* flyweight
+    instances (stamped at :meth:`bind` time), so any number of decoders
+    can run on concurrent threads (one per analysis session) without
+    sharing mutable state.
+
+    Input comes from outside the process, so a record that declares more
+    than :data:`MAX_RECORD_BYTES` raises ``ValueError`` as soon as its
+    header arrives; the pending fragment never grows past one legal
+    record.
 
     The decoder is picklable mid-stream: its interning tables, counters
-    and buffered fragment travel; the unpicklable codegen tables and
+    and buffered fragment travel; the unpicklable dispatch table and
     bound handlers are rebuilt by calling :meth:`bind` again after
     unpickling.  This is what lets the analysis service checkpoint a
     session and resume it in a fresh process — the client continues
@@ -1095,32 +1088,15 @@ class StreamDecoder:
         """Attach per-type handlers (the shape ``replay_trace`` builds:
         one tuple of callables per :data:`EVENT_TYPES` index).
 
-        Builds private flyweight/loop tables — a few dozen ``exec``
-        calls, milliseconds — so call it once per decoder, not per
-        chunk.  Must be called again after unpickling.  A decoder that
-        is never bound still decodes (and counts) records; it just
-        dispatches to nobody, which is what pure accounting consumers
-        (``trace stat``-style) want.
+        Stamps a private set of flyweights over the decode templates,
+        which compile once per process (the first bind pays a few
+        milliseconds; later ones tens of microseconds).  Must be called
+        again after unpickling.  A decoder that is never bound still
+        decodes (and counts) records; it just dispatches to nobody,
+        which is what pure accounting consumers (``trace stat``-style)
+        want.
         """
-        fillers = []
-        seq_fillers = []
-        for cls in EVENT_TYPES:
-            fly = _flyweight_class(cls)()
-            fillers.append(_make_filler(cls, fly))
-            seq_fillers.append(_make_seq_filler(cls, fly))
-        loops = build_block_loops()
-        self._dispatch = [
-            (
-                _ROW_STRUCTS[i],
-                fns[0] if len(fns) == 1 else None,
-                tuple(fns),
-                loops[i],
-                fillers[i],
-                seq_fillers[i],
-                _bulk_for(i, fns),
-            )
-            for i, fns in enumerate(handler_table)
-        ]
+        self._dispatch = _dispatch_table(handler_table)
         self._vm = vm
 
     # -- pickling (checkpoint support) ---------------------------------
@@ -1225,6 +1201,8 @@ class StreamDecoder:
                     base = None
                 s = _ROW_STRUCTS[type_idx][flags]
                 size = s.size * n
+                if size > MAX_RECORD_BYTES:
+                    raise _oversized(f"a block of {n} rows ({size} bytes)")
                 if end - npos < size:
                     break
                 if dispatch is not None:
@@ -1232,30 +1210,27 @@ class StreamDecoder:
                     single = entry[1]
                     if single is not None:
                         block = view[npos:npos + size]
-                        bulk = entry[6]
+                        bulk = entry[8]
                         if bulk is None or not bulk(block, s, base, stacks, vm):
-                            pair = entry[3]
-                            if base is None:
-                                pair[0](
-                                    block, s, stacks, strings, single, vm, 0
-                                )
-                            else:
-                                pair[1](
-                                    block, s, stacks, strings, single, vm, base
-                                )
+                            loop = entry[6] if base is None else entry[7]
+                            loop(
+                                entry[3], block, s, stacks, strings, single, vm,
+                                base,
+                            )
                     elif entry[2]:
                         fns = entry[2]
+                        fly = entry[3]
                         block = view[npos:npos + size]
                         if base is None:
                             fill = entry[4]
                             for row in s.iter_unpack(block):
-                                event = fill(stacks, strings, row)
+                                event = fill(fly, stacks, strings, row)
                                 for fn in fns:
                                     fn(event, vm)
                         else:
                             fill = entry[5]
                             for i, row in enumerate(s.iter_unpack(block)):
-                                event = fill(stacks, strings, row, base + i)
+                                event = fill(fly, stacks, strings, row, base + i)
                                 for fn in fns:
                                     fn(event, vm)
                 events += n
@@ -1266,6 +1241,8 @@ class StreamDecoder:
                 if r is None:
                     break
                 length, npos = r
+                if length > MAX_RECORD_BYTES:
+                    raise _oversized(f"a string of {length} bytes")
                 if end - npos < length:
                     break
                 strings.append(data[npos:npos + length].decode("utf-8"))
@@ -1291,6 +1268,8 @@ class StreamDecoder:
                 if r is None:
                     break
                 count, npos = r
+                if count > MAX_RECORD_BYTES:
+                    raise _oversized(f"a stack of {count} frames")
                 frame_ids = []
                 incomplete = False
                 for _ in range(count):

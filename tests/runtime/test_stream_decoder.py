@@ -13,18 +13,26 @@ properties the service relies on:
   left pending;
 * **mid-stream pickling works** — a decoder pickled between chunks
   resumes on the remaining bytes with identical totals (the service's
-  checkpoint/resume path).
+  checkpoint/resume path);
+* **hostile headers fail fast** — a record declaring more than
+  ``MAX_RECORD_BYTES`` is rejected on its header, before the decoder
+  buffers its body, while the writer's largest block still streams;
+* **set-up is per process, state is per decoder** — the decode
+  templates compile once per process, yet every bound decoder and
+  every ``replay_blocks`` call decodes into its own flyweights.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import random
 
 import pytest
 
 from repro.runtime import codec
-from repro.runtime.codec import StreamDecoder, trace_stats
+from repro.runtime.codec import StreamDecoder, TraceWriter, trace_stats
+from repro.runtime.events import EVENT_TYPES, MemAlloc
 
 CASE_IDS = [f"T{i}" for i in range(1, 9)]
 
@@ -143,3 +151,96 @@ def test_bytes_fed_is_the_resume_offset(recorded_traces):
     assert decoder.bytes_fed == decoder.bytes_consumed + decoder.pending_bytes
     decoder.feed(data[decoder.bytes_fed:])
     assert decoder.events_decoded == stats["events"]
+
+
+def _varint(n: int) -> bytes:
+    buf = bytearray()
+    codec._write_varint(buf, n)
+    return bytes(buf)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        bytes([codec._TAG_STRING]) + _varint(2**40),
+        bytes([codec._TAG_STACK]) + _varint(2**40),
+        bytes([codec._TAG_BLOCK, 0, 0]) + _varint(2**50),
+        bytes([codec._TAG_STRING]) + b"\x80" * 11,
+    ],
+    ids=["string", "stack", "block", "endless-varint"],
+)
+def test_oversized_record_rejected_on_its_header(header):
+    """An unbounded decoder would buffer every later chunk while it
+    waits for the declared body, re-copying the pending bytes on each
+    feed, so one client could grow a worker's memory without limit."""
+    decoder = StreamDecoder()
+    with pytest.raises(ValueError, match="corrupt trace"):
+        decoder.feed(codec.MAGIC + header)
+    assert decoder.pending_bytes <= len(header)
+
+
+def test_largest_writer_block_streams_under_the_limit():
+    """A full default block of the widest rows (64-bit fields, explicit
+    steps) stays well inside ``MAX_RECORD_BYTES``."""
+    rows = TraceWriter.DEFAULT_BLOCK_ROWS
+    buf = io.BytesIO()
+    writer = TraceWriter(buf)
+    for i in range(rows):
+        writer.write(MemAlloc(2 * i, 1, 2**40 + i, 2**33, i, "blob"))
+    writer.close()
+    data = buf.getvalue()
+    assert 4 * len(data) < codec.MAX_RECORD_BYTES
+    decoder = StreamDecoder()
+    for pos in range(0, len(data), 4096):
+        decoder.feed(data[pos:pos + 4096])
+    assert decoder.events_decoded == rows
+    assert decoder.pending_bytes == 0
+
+
+def _recording_table(seen: dict) -> list[tuple]:
+    """One subscriber per event type that keeps the object it was given."""
+    def record(event, vm):
+        seen.setdefault(type(event).__name__, set()).add(event)
+
+    return [(record,) for _ in EVENT_TYPES]
+
+
+def test_decode_templates_compile_once_per_process(recorded_traces, monkeypatch):
+    """Sessions after the first one, and every ``replay_blocks`` call,
+    reuse the compiled templates; only the flyweights are per decoder."""
+    from repro.api import Session
+    from repro.api.profiles import profile
+    from repro.runtime.trace import replay_trace
+
+    Session("hwlc+dr")  # the first session in a process may pay the compile
+    compiled = []
+    real = codec._compile_templates
+
+    def counting(cls):
+        compiled.append(cls)
+        return real(cls)
+
+    monkeypatch.setattr(codec, "_compile_templates", counting)
+    path = recorded_traces["T1"][0]
+    data = path.read_bytes()
+    for _ in range(3):
+        Session("hwlc+dr").feed(data)
+        replay_trace(path, profile("hwlc+dr").detector())
+    assert compiled == []
+
+    # Decoder-private flyweights: no object reaches two decoders' handlers.
+    by_decoder = []
+    for _ in range(2):
+        seen: dict = {}
+        decoder = StreamDecoder()
+        decoder.bind(_recording_table(seen))
+        decoder.feed(data)
+        by_decoder.append(seen)
+    replayed: dict = {}
+    codec.replay_blocks(data, _recording_table(replayed), None)
+    by_decoder.append(replayed)
+    first, second, third = by_decoder
+    assert first.keys() == second.keys() == third.keys()
+    for name in first:
+        assert first[name].isdisjoint(second[name]), name
+        assert third[name].isdisjoint(first[name] | second[name]), name

@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro.runtime import codec
 from repro.service import (
     AnalysisClient,
     AnalysisServer,
@@ -136,16 +137,25 @@ class TestErrors:
 
     def test_corrupt_stream_fails_session_not_server(self, unix_server, traces):
         """Garbage bytes must kill the *session* (ERROR frame, metric)
-        — never a worker thread; the next client is unaffected."""
-        with AnalysisClient(socket_path=unix_server.address) as client:
-            client.hello("hwlc+dr")
-            client.send(b"NOPE this is not RPTR at all")
-            with pytest.raises(ServiceError) as exc:
-                client.finish()
-        assert "bad magic" in str(exc.value)
+        — never a worker thread; the next client is unaffected.  That
+        includes a header declaring a 1 TiB string, which must fail on
+        arrival rather than have the worker buffer the stream."""
+        huge = bytearray([codec._TAG_STRING])
+        codec._write_varint(huge, 2**40)
+        corrupt = [
+            (b"NOPE this is not RPTR at all", "bad magic"),
+            (codec.MAGIC + huge, "record limit"),
+        ]
+        for payload, reason in corrupt:
+            with AnalysisClient(socket_path=unix_server.address) as client:
+                client.hello("hwlc+dr")
+                client.send(payload)
+                with pytest.raises(ServiceError) as exc:
+                    client.finish()
+            assert reason in str(exc.value)
         assert sum(
             _sample_values(unix_server, "repro_service_analysis_errors_total")
-        ) == 1
+        ) == len(corrupt)
         # Both workers must still be alive and serving.
         path, reference = traces[("T1", "hwlc+dr")]
         for _ in range(2):
