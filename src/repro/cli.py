@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "no_transition_cache", False):
         # Process-wide escape hatch (docs/PERFORMANCE.md layer 6): every
         # detector built after this point — including in forked workers —
-        # runs the unmemoized, unelided, unbatched vanilla path.
+        # runs the unmemoized, unbatched per-event path.
         from repro.detectors.lockset import set_transition_cache_default
 
         set_transition_cache_default(False)
@@ -472,9 +472,9 @@ def _add_cache_flag(p) -> None:
         action="store_true",
         help=(
             "disable the memoized shadow-transition cache (and the "
-            "same-access elision + batched replay built on it); the "
-            "escape hatch for A/B-ing the vanilla per-event path — "
-            "reports are byte-identical either way"
+            "batched replay built on it); the escape hatch for A/B-ing "
+            "the uncached per-event path — reports are byte-identical "
+            "either way"
         ),
     )
 

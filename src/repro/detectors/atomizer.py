@@ -157,15 +157,17 @@ class AtomizerDetector(EventDispatcher):
         """Both-mover test: would this access keep a non-empty candidate
         set under the Eraser oracle?  (Private/exclusive data is trivially
         protected.)"""
-        from repro.detectors.lockset import WordState
+        from repro.detectors.lockset import LOCKSETS, WordState
 
         machine = self._oracle.machine
         word = machine.word(event.addr)
         if word.state in (WordState.NEW, WordState.EXCLUSIVE):
             return True  # thread-local (so far): both-mover
         held = self._oracle._held_for(event.tid)
-        locks_any, locks_write = self._oracle._effective_sets(held, event)
-        effective = locks_write if event.is_write else locks_any
+        any_id, write_id = self._oracle._effective_ids(
+            held, event.is_write, event.bus_locked
+        )
+        effective = LOCKSETS.members(write_id if event.is_write else any_id)
         current = word.lockset if word.lockset is not None else effective
         return bool(current & effective)
 

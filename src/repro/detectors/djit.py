@@ -53,7 +53,6 @@ from repro.runtime.events import (
     ThreadJoin,
 )
 from repro._util.intervals import IntervalSet
-from repro.detectors.lockset import transition_cache_default
 
 __all__ = ["DjitDetector"]
 
@@ -88,7 +87,6 @@ class DjitDetector(EventDispatcher):
         *,
         cond_hb: bool = True,
         atomic_aware: bool = True,
-        elide: bool | None = None,
     ) -> None:
         self.report = Report()
         self.cond_hb = cond_hb
@@ -109,21 +107,6 @@ class DjitDetector(EventDispatcher):
         self._final_vc: dict[int, VectorClock] = {}
         self._log: dict[int, _LocationLog] = {}
         self._benign = IntervalSet()
-        #: Same-access elision (Helgrind-style): the one access the
-        #: filter would absorb, ``(tid, addr, is_write, bus_locked)``.
-        #: An identical immediate repeat re-derives the same epoch log
-        #: entry from the same vector clock, so it is a no-op — but only
-        #: while the filter always holds the *immediately preceding*
-        #: log-touching access (every sync/lifecycle handler clears it;
-        #: every non-warning access re-arms it with itself).  ``elide``
-        #: follows the process-wide transition-cache default, so the
-        #: ``--no-transition-cache`` escape hatch restores the fully
-        #: vanilla per-event path here too.
-        self._last_access: tuple | None = None
-        self._elided = 0
-        self._elide_ok = (
-            elide if elide is not None else transition_cache_default()
-        )
 
     # ------------------------------------------------------------------
 
@@ -159,17 +142,14 @@ class DjitDetector(EventDispatcher):
 
     @handles(LockRelease)
     def _on_lock_release(self, event: LockRelease, vm) -> None:
-        self._last_access = None
         self._release_into(self._lock_vc, event.lock_id, event.tid)
 
     @handles(LockAcquire)
     def _on_lock_acquire(self, event: LockAcquire, vm) -> None:
-        self._last_access = None
         self._acquire_from(self._lock_vc, event.lock_id, event.tid)
 
     @handles(ThreadCreate)
     def _on_thread_create(self, event: ThreadCreate, vm) -> None:
-        self._last_access = None
         parent = self._clock(event.tid)
         child = self._clock(event.child_tid)
         child.join(parent)
@@ -177,31 +157,26 @@ class DjitDetector(EventDispatcher):
 
     @handles(ThreadFinish)
     def _on_thread_finish(self, event: ThreadFinish, vm) -> None:
-        self._last_access = None
         self._final_vc[event.tid] = self._clock(event.tid).copy()
 
     @handles(ThreadJoin)
     def _on_thread_join(self, event: ThreadJoin, vm) -> None:
-        self._last_access = None
         final = self._final_vc.get(event.joined_tid)
         if final is not None:
             self._clock(event.tid).join(final)
 
     @handles(QueuePut)
     def _on_queue_put(self, event: QueuePut, vm) -> None:
-        self._last_access = None
         self._release_into(self._queue_vc, (event.queue_id, event.msg_id), event.tid)
 
     @handles(QueueGet)
     def _on_queue_get(self, event: QueueGet, vm) -> None:
-        self._last_access = None
         slot = self._queue_vc.pop((event.queue_id, event.msg_id), None)
         if slot is not None:
             self._clock(event.tid).join(slot)
 
     @handles(SemPost)
     def _on_sem_post(self, event: SemPost, vm) -> None:
-        self._last_access = None
         vc = self._clock(event.tid)
         tokens = self._sem_vc.get(event.sem_id)
         if tokens is None:
@@ -212,25 +187,21 @@ class DjitDetector(EventDispatcher):
 
     @handles(SemWait)
     def _on_sem_wait(self, event: SemWait, vm) -> None:
-        self._last_access = None
         tokens = self._sem_vc.get(event.sem_id)
         if tokens:
             self._clock(event.tid).join(tokens.popleft())
 
     @handles(CondSignal)
     def _on_cond_signal(self, event: CondSignal, vm) -> None:
-        self._last_access = None
         self._release_into(self._cond_vc, event.cond_id, event.tid)
 
     @handles(CondWait)
     def _on_cond_wait(self, event: CondWait, vm) -> None:
-        self._last_access = None
         if event.phase == "leave":
             self._acquire_from(self._cond_vc, event.cond_id, event.tid)
 
     @handles(MemAlloc)
     def _on_alloc(self, event: MemAlloc, vm) -> None:
-        self._last_access = None
         # Fresh allocation: prior accesses at these addresses (there
         # are none at VM level, but replayed traces may recycle) are
         # unrelated to the new object.
@@ -239,13 +210,11 @@ class DjitDetector(EventDispatcher):
 
     @handles(MemFree)
     def _on_free(self, event: MemFree, vm) -> None:
-        self._last_access = None
         for a in range(event.addr, event.addr + event.size):
             self._log.pop(a, None)
 
     @handles(ClientRequest)
     def _on_client_request(self, event: ClientRequest, vm=None) -> None:
-        self._last_access = None
         if event.request == "benign_race":
             self._benign.add(event.addr, event.addr + event.size)
         elif event.request == "hg_clean":
@@ -261,7 +230,6 @@ class DjitDetector(EventDispatcher):
         tick; departures absorb the fully-joined slot (all parties have
         arrived by the time anyone leaves, so the slot is complete).
         """
-        self._last_access = None
         key = (event.barrier_id, event.generation)
         if event.phase == "arrive":
             self._release_into(self._barrier_vc, key, event.tid)
@@ -272,16 +240,6 @@ class DjitDetector(EventDispatcher):
 
     @handles(MemoryAccess)
     def _on_access(self, event: MemoryAccess, vm) -> None:
-        last = self._last_access
-        if (
-            last is not None
-            and last[1] == event.addr
-            and last[0] == event.tid
-            and last[2] == event.is_write
-            and last[3] == event.bus_locked
-        ):
-            self._elided += 1
-            return
         if event.addr in self._benign:
             return
         log = self._log.get(event.addr)
@@ -314,7 +272,6 @@ class DjitDetector(EventDispatcher):
             if race:
                 log.reported = True
                 self._warn(event, vm)
-                self._last_access = None
                 return
             log.write_tid = tid
             log.write_clk = vc.get(tid)
@@ -325,11 +282,8 @@ class DjitDetector(EventDispatcher):
             if racy_with_write():
                 log.reported = True
                 self._warn(event, vm)
-                self._last_access = None
                 return
             log.reads[tid] = (vc.get(tid), locked)
-        if self._elide_ok:
-            self._last_access = (tid, event.addr, event.is_write, locked)
 
     def telemetry_summary(self) -> dict[str, float]:
         """Size gauges for ``repro_detector_state`` (telemetry layer)."""

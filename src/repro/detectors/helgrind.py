@@ -138,11 +138,11 @@ class HelgrindConfig:
     #: sides of the conflict (later Helgrind's --history-level=full).
     #: Costs one stack reference per shadow word; off by default.
     access_history: bool = False
-    #: Memoized shadow-transition cache + redundant-access elision +
-    #: batched block replay (docs/PERFORMANCE.md layer 6).  ``None`` =
-    #: follow the process default (the ``--no-transition-cache`` escape
-    #: hatch); ``True``/``False`` force it for this detector.  Reports
-    #: are byte-identical either way — the flag exists to *prove* that.
+    #: Memoized shadow-transition cache + batched block replay
+    #: (docs/PERFORMANCE.md layer 6).  ``None`` = follow the process
+    #: default (the ``--no-transition-cache`` escape hatch);
+    #: ``True``/``False`` force it for this detector.  Reports are
+    #: byte-identical either way — the flag exists to *prove* that.
     transition_cache: bool | None = None
 
     # -- the paper's three evaluation configurations -------------------
@@ -204,9 +204,7 @@ class _HeldLocks:
     memoized :meth:`~repro.detectors.lockset.LocksetTable.with_lock` /
     ``without_lock`` operations (steady state: a few dict hits, no set
     is ever built), so the per *memory access* path (hot) is
-    allocation-free and the per *lock* path (rare) nearly so.  The
-    frozenset views (``any_``, ``write``, ...) materialise on demand
-    for report rendering and off-path callers.
+    allocation-free and the per *lock* path (rare) nearly so.
     """
 
     __slots__ = (
@@ -264,23 +262,10 @@ class _HeldLocks:
         self.any_bus_id = LOCKSETS.with_lock(self.any_id, BUS_LOCK_ID)
         self.write_bus_id = LOCKSETS.with_lock(self.write_id, BUS_LOCK_ID)
 
-    # Frozenset views (off the hot path: reports, tests, atomizer).
-
     @property
     def any_(self) -> frozenset[int]:
+        """Frozenset view of the any-mode set (off the hot path)."""
         return LOCKSETS.members(self.any_id)
-
-    @property
-    def write(self) -> frozenset[int]:
-        return LOCKSETS.members(self.write_id)
-
-    @property
-    def any_bus(self) -> frozenset[int]:
-        return LOCKSETS.members(self.any_bus_id)
-
-    @property
-    def write_bus(self) -> frozenset[int]:
-        return LOCKSETS.members(self.write_bus_id)
 
 
 class _BulkEvent:
@@ -336,25 +321,10 @@ class HelgrindDetector(EventDispatcher):
         self._cond_tokens: dict[int, dict[int, int]] = {}
         #: lock names for report rendering (learned from events lazily).
         self._access_checks = 0
-        #: Helgrind-style same-access elision: the one access the filter
-        #: would absorb, as ``(tid, addr, kind, bus_locked)``.  Armed
-        #: only after a no-outcome access with no history/tracking side
-        #: channels, and cleared by *every* non-access handler (locks,
-        #: segments, alloc/free, client requests all invalidate the
-        #: "identical immediate repeat is a no-op" proof).
-        self._last_access: tuple | None = None
+        #: Rows absorbed by :meth:`bulk_access`'s run-length elision.
         self._elided = 0
-        self._elide_ok = (
-            cache and not self.config.access_history
-        )
-        # Bind the specialised access handler for the configured bus-lock
-        # model once (instance attribute wins the dispatch lookup), so
-        # the per-access path does not re-branch on configuration and
-        # pays one bound-method call instead of four.
-        if self.config.bus_lock_model is BusLockModel.RWLOCK:
-            self._on_access = self._on_access_rwlock
-        else:
-            self._on_access = self._on_access_mutex
+        #: HWLC: plain reads hold the bus lock in read mode (§3.1).
+        self._rwlock_bus = self.config.bus_lock_model is BusLockModel.RWLOCK
 
     # ------------------------------------------------------------------
     # VM hook (dispatch-table ABI; BarrierWait intentionally has no
@@ -378,56 +348,46 @@ class HelgrindDetector(EventDispatcher):
 
     @handles(LockAcquire)
     def _on_lock_acquire(self, event: LockAcquire, vm) -> None:
-        self._last_access = None
         self._held_for(event.tid).acquire(event.lock_id, event.mode)
 
     @handles(LockRelease)
     def _on_lock_release(self, event: LockRelease, vm) -> None:
-        self._last_access = None
         self._held_for(event.tid).release(event.lock_id)
 
     @handles(MemAlloc)
     def _on_alloc(self, event: MemAlloc, vm) -> None:
-        self._last_access = None
         self.machine.on_alloc(event.addr, event.size)
 
     @handles(MemFree)
     def _on_free(self, event: MemFree, vm) -> None:
-        self._last_access = None
         self.machine.on_free(event.addr, event.size)
 
     @handles(ThreadCreate)
     def _on_thread_create(self, event: ThreadCreate, vm) -> None:
-        self._last_access = None
         self.segments.on_create(event.tid, event.child_tid)
 
     @handles(ThreadFinish)
     def _on_thread_finish(self, event: ThreadFinish, vm) -> None:
-        self._last_access = None
         self.segments.on_finish(event.tid)
 
     @handles(ThreadJoin)
     def _on_thread_join(self, event: ThreadJoin, vm) -> None:
-        self._last_access = None
         self.segments.on_join(event.tid, event.joined_tid)
 
     @handles(QueuePut)
     def _on_queue_put(self, event: QueuePut, vm) -> None:
-        self._last_access = None
         self._queue_tokens[(event.queue_id, event.msg_id)] = self.segments.post(
             event.tid
         )
 
     @handles(QueueGet)
     def _on_queue_get(self, event: QueueGet, vm) -> None:
-        self._last_access = None
         token = self._queue_tokens.pop((event.queue_id, event.msg_id), None)
         if token is not None:
             self.segments.receive(event.tid, token)
 
     @handles(SemPost)
     def _on_sem_post(self, event: SemPost, vm) -> None:
-        self._last_access = None
         tokens = self._sem_tokens.get(event.sem_id)
         if tokens is None:
             tokens = deque()
@@ -436,19 +396,16 @@ class HelgrindDetector(EventDispatcher):
 
     @handles(SemWait)
     def _on_sem_wait(self, event: SemWait, vm) -> None:
-        self._last_access = None
         tokens = self._sem_tokens.get(event.sem_id)
         if tokens:
             self.segments.receive(event.tid, tokens.popleft())
 
     @handles(CondSignal)
     def _on_cond_signal(self, event: CondSignal, vm) -> None:
-        self._last_access = None
         self._cond_tokens[event.cond_id] = self.segments.post(event.tid)
 
     @handles(CondWait)
     def _on_cond_wait(self, event: CondWait, vm) -> None:
-        self._last_access = None
         if event.phase == "leave":
             token = self._cond_tokens.get(event.cond_id)
             if token is not None:
@@ -460,134 +417,26 @@ class HelgrindDetector(EventDispatcher):
 
     @handles(MemoryAccess)
     def _on_access(self, event: MemoryAccess, vm) -> None:
-        """Generic (reference) access handler.
-
-        ``__init__`` shadows this with one of the specialised variants
-        below; this body stays as the readable specification and serves
-        any subclass or hand-built instance that removes the shadow.
-        """
-        if event.addr in self._benign:
-            return
-        self._access_checks += 1
-        held = self._held_for(event.tid)
-        any_id, write_id = self._effective_ids(held, event)
-        machine = self.machine
-        outcome = machine.access_check(
-            event.addr,
-            event.tid,
-            event.kind is AccessKind.WRITE,
-            any_id,
-            write_id,
-        )
-        if outcome is not None:
-            self._report_race(event, outcome, vm)
-        if machine.access_history:
-            word = machine.word(event.addr)
-            prev = word.last_access
-            if prev is not None and prev[0] != event.tid:
-                word.last_other = prev
-            word.last_access = (event.tid, event.is_write, event.stack)
-
-    def _on_access_rwlock(self, event: MemoryAccess, vm) -> None:
-        """RWLOCK-model hot path: :meth:`_on_access` with the benign
-        check, :meth:`_held_for` and :meth:`_effective_ids` inlined —
-        one bound-method call per access instead of four.  An access
-        identical to the immediately preceding one (same thread, word,
-        direction, bus prefix, nothing in between) is a state no-op and
-        is absorbed before the machine is entered."""
-        last = self._last_access
-        if (
-            last is not None
-            and last[1] == event.addr
-            and last[0] == event.tid
-            and last[2] is event.kind
-            and last[3] == event.bus_locked
-        ):
-            self._access_checks += 1
-            self._elided += 1
-            return
+        """Per-event access path: inject the bus lock
+        (:meth:`_effective_ids`), then run the machine's Figure 1 rule."""
         benign = self._benign
         if benign and event.addr in benign:
             return
         self._access_checks += 1
-        held = self._held.get(event.tid)
-        if held is None:
-            held = _HeldLocks()
-            self._held[event.tid] = held
+        tid = event.tid
+        held = self._held.get(tid) or self._held_for(tid)
         is_write = event.kind is AccessKind.WRITE
-        if event.bus_locked:
-            any_id = held.any_bus_id  # LOCK prefix: write mode
-            write_id = held.write_bus_id
-        elif is_write:
-            any_id = held.any_id  # plain write: not held
-            write_id = held.write_id
-        else:
-            any_id = held.any_bus_id  # every plain read: read mode
-            write_id = held.write_id
+        any_id, write_id = self._effective_ids(held, is_write, event.bus_locked)
         machine = self.machine
-        outcome = machine.access_check(
-            event.addr, event.tid, is_write, any_id, write_id
-        )
+        outcome = machine.access_check(event.addr, tid, is_write, any_id, write_id)
         if outcome is not None:
             self._report_race(event, outcome, vm)
-            self._last_access = None
-        elif self._elide_ok and machine.transition_counts is None:
-            self._last_access = (
-                event.tid, event.addr, event.kind, event.bus_locked
-            )
         if machine.access_history:
             word = machine.word(event.addr)
             prev = word.last_access
-            if prev is not None and prev[0] != event.tid:
+            if prev is not None and prev[0] != tid:
                 word.last_other = prev
-            word.last_access = (event.tid, is_write, event.stack)
-
-    def _on_access_mutex(self, event: MemoryAccess, vm) -> None:
-        """MUTEX-model (original Helgrind) hot path; see
-        :meth:`_on_access_rwlock`."""
-        last = self._last_access
-        if (
-            last is not None
-            and last[1] == event.addr
-            and last[0] == event.tid
-            and last[2] is event.kind
-            and last[3] == event.bus_locked
-        ):
-            self._access_checks += 1
-            self._elided += 1
-            return
-        benign = self._benign
-        if benign and event.addr in benign:
-            return
-        self._access_checks += 1
-        held = self._held.get(event.tid)
-        if held is None:
-            held = _HeldLocks()
-            self._held[event.tid] = held
-        if event.bus_locked:
-            any_id = held.any_bus_id
-            write_id = held.write_bus_id
-        else:
-            any_id = held.any_id
-            write_id = held.write_id
-        machine = self.machine
-        is_write = event.kind is AccessKind.WRITE
-        outcome = machine.access_check(
-            event.addr, event.tid, is_write, any_id, write_id
-        )
-        if outcome is not None:
-            self._report_race(event, outcome, vm)
-            self._last_access = None
-        elif self._elide_ok and machine.transition_counts is None:
-            self._last_access = (
-                event.tid, event.addr, event.kind, event.bus_locked
-            )
-        if machine.access_history:
-            word = machine.word(event.addr)
-            prev = word.last_access
-            if prev is not None and prev[0] != event.tid:
-                word.last_other = prev
-            word.last_access = (event.tid, is_write, event.stack)
+            word.last_access = (tid, is_write, event.stack)
 
     # ------------------------------------------------------------------
     # Batched block replay (docs/PERFORMANCE.md layer 6)
@@ -639,8 +488,6 @@ class HelgrindDetector(EventDispatcher):
         segments = machine.segments
         segment_transfer = machine.segment_transfer
         access_check = machine.access_check
-        rwlock = self.config.bus_lock_model is BusLockModel.RWLOCK
-        held_map = self._held
         report_race = self._report_race
         ids_cache: dict[int, tuple[int, int]] = {}
         owner_cache: dict[int, int] = {}
@@ -668,21 +515,7 @@ class HelgrindDetector(EventDispatcher):
             ik = (tid << 2) | (kind << 1) | bus
             pair = ids_cache.get(ik)
             if pair is None:
-                held = held_map.get(tid)
-                if held is None:
-                    held = _HeldLocks()
-                    held_map[tid] = held
-                if rwlock:
-                    if bus:
-                        pair = (held.any_bus_id, held.write_bus_id)
-                    elif kind:
-                        pair = (held.any_id, held.write_id)
-                    else:
-                        pair = (held.any_bus_id, held.write_id)
-                elif bus:
-                    pair = (held.any_bus_id, held.write_bus_id)
-                else:
-                    pair = (held.any_id, held.write_id)
+                pair = self._effective_ids(self._held_for(tid), kind == 1, bus)
                 ids_cache[ik] = pair
             outcome = None
             page = pages.get(addr >> _PAGE_BITS)
@@ -751,37 +584,24 @@ class HelgrindDetector(EventDispatcher):
         self._access_checks += i + 1
         self._elided += elided
         machine._memo_hits += hits
-        self._last_access = None
         return True
 
-    def _effective_sets(
-        self, held: _HeldLocks, event: MemoryAccess
-    ) -> tuple[frozenset[int], frozenset[int]]:
-        """Inject the virtual bus lock according to the configured model."""
-        model = self.config.bus_lock_model
-        if model is BusLockModel.MUTEX:
-            if event.bus_locked:
-                return held.any_bus, held.write_bus
-            return held.any_, held.write
-        # RWLOCK (the HWLC correction):
-        if event.bus_locked:
-            return held.any_bus, held.write_bus  # LOCK prefix: write mode
-        if not event.is_write:
-            return held.any_bus, held.write  # every plain read: read mode
-        return held.any_, held.write  # plain write: not held
+    def _effective_ids(
+        self, held: _HeldLocks, is_write: bool, bus_locked: bool
+    ) -> tuple[int, int]:
+        """Inject the virtual bus lock: ``(any_id, write_id)`` for one access.
 
-    def _effective_ids(self, held: _HeldLocks, event: MemoryAccess) -> tuple[int, int]:
-        """Interned-id twin of :meth:`_effective_sets` (the hot path)."""
-        if self.config.bus_lock_model is BusLockModel.MUTEX:
-            if event.bus_locked:
-                return held.any_bus_id, held.write_bus_id
+        The HWLC rule in one place.  A ``LOCK``-prefixed access holds the
+        bus lock in write mode under both models.  Under the paper's
+        RWLOCK correction every plain read also holds it in read mode;
+        under the original MUTEX model plain accesses never hold it, and
+        a plain write holds it under neither.
+        """
+        if bus_locked:
+            return held.any_bus_id, held.write_bus_id
+        if is_write or not self._rwlock_bus:
             return held.any_id, held.write_id
-        # RWLOCK (the HWLC correction):
-        if event.bus_locked:
-            return held.any_bus_id, held.write_bus_id  # LOCK prefix: write mode
-        if event.kind is not AccessKind.WRITE:
-            return held.any_bus_id, held.write_id  # every plain read: read mode
-        return held.any_id, held.write_id  # plain write: not held
+        return held.any_bus_id, held.write_id
 
     def _report_race(self, event: MemoryAccess, outcome, vm) -> None:
         verb = "writing" if event.is_write else "reading"
@@ -823,7 +643,6 @@ class HelgrindDetector(EventDispatcher):
 
     @handles(ClientRequest)
     def _on_client_request(self, event: ClientRequest, vm=None) -> None:
-        self._last_access = None
         if event.request == "hg_destruct":
             if self.config.honor_destruct:
                 owner = (

@@ -676,36 +676,21 @@ class LocksetMachine:
     def enable_transition_tracking(self) -> None:
         """Start recording the state-transition matrix.
 
-        Implemented by shadowing :meth:`access` *and*
-        :meth:`access_check` with counting wrappers *on this instance*,
-        so the untracked machine keeps the fast path untouched (no
-        per-access ``if``).  Both entry points must be shadowed: the
-        Helgrind hot path goes through :meth:`access_check`.
+        Implemented by shadowing :meth:`access_check` with a counting
+        wrapper *on this instance*, so the untracked machine keeps the
+        fast path untouched (no per-access ``if``).  :meth:`access` runs
+        through :meth:`access_check` too, so one wrapper sees every
+        access.
         """
         if self.transition_counts is None:
             self.transition_counts = {}
-            self.access = self._traced_access  # instance attr wins lookup
             self.access_check = self._traced_access_check
-
-    def _traced_access(
-        self, addr: int, tid: int, is_write: bool, locks_any, locks_write
-    ) -> "LocksetOutcome":
-        outcome = LocksetMachine.access(
-            self, addr, tid, is_write=is_write,
-            locks_any=locks_any, locks_write=locks_write,
-        )
-        new_state = _STATE_OF_CODE[self._peek(addr) & _ST_MASK]
-        key = (outcome.prev_state, new_state)
-        counts = self.transition_counts
-        counts[key] = counts.get(key, 0) + 1
-        return outcome
 
     def _traced_access_check(
         self, addr: int, tid: int, is_write: bool, locks_any, locks_write
     ) -> "LocksetOutcome | None":
-        # Peek-count-peek around the *real* hot path rather than routing
-        # through :meth:`access`, so instrumented runs keep the memoized
-        # machine (and its hit/miss counters) live.
+        # Peek-count-peek around the real hot path, so instrumented runs
+        # keep the memoized machine (and its hit/miss counters) live.
         prev_state = _STATE_OF_CODE[self._peek(addr) & _ST_MASK]
         outcome = LocksetMachine.access_check(
             self, addr, tid, is_write, locks_any, locks_write
@@ -857,107 +842,35 @@ class LocksetMachine:
         locks_any,
         locks_write,
     ) -> LocksetOutcome:
-        """Feed one access through the machine.
+        """Feed one access through the machine and describe the step.
+
+        An outcome view over :meth:`access_check`, the one body of the
+        access rule: a race comes back as :meth:`access_check`'s own
+        outcome; otherwise the packed word is peeked before and after
+        to fill in the previous state and candidate-set ids (NEW and
+        EXCLUSIVE words carry none, so single-owner steps report
+        :data:`NO_LOCKSET` on both sides).
 
         ``locks_any`` / ``locks_write`` are the *effective* lock-sets of
         the accessing thread for this access — including any virtual
-        locks the caller's hardware model injects (the bus lock).  They
-        may be passed either as frozensets (the original API, kept for
-        tests and off-path callers) or as interned :data:`LOCKSETS` ids
-        (the hot path: :class:`~repro.detectors.helgrind.HelgrindDetector`
-        precomputes the ids per lock event, so the per-access cost is
-        integer compares plus one memoized table lookup).
+        locks the caller's hardware model injects (the bus lock) — as
+        frozensets or as interned :data:`LOCKSETS` ids.
         """
-        # Normalise to interned ids (ints pass through untouched).
         if type(locks_any) is not int:
             locks_any = LOCKSETS.id_of(locks_any)
         if type(locks_write) is not int:
             locks_write = LOCKSETS.id_of(locks_write)
-
-        pages = self._pages
-        pi = addr >> _PAGE_BITS
-        page = pages.get(pi)
-        if page is None:
-            page = _ZERO_PAGE[:]
-            pages[pi] = page
-            self._page_copies += 1
-        slot = addr & _PAGE_MASK
-        packed = page[slot]
-        code = packed & _ST_MASK
-        prev_id = ((packed >> _LS_SHIFT) & _LS_MASK) - 1
-
-        if not self.use_states:
-            return self._raw_access(
-                page, slot, packed, code, prev_id, is_write, locks_any, locks_write
-            )
-
-        if code == _RACY:
-            return LocksetOutcome(False, WordState.RACY, prev_id, prev_id)
-
-        if self.segment_transfer:
-            owner = self._seg_ids.get(tid)
-            if owner is None:
-                owner = self.segments.current(tid).seg_id
-        else:
-            owner = tid
-
-        if code == _NEW:
-            # First touch: exclusively owned by the toucher (Fig 1).
-            page[slot] = (
-                (packed & _LS_FIELD) | _EXCLUSIVE | ((owner + 1) << _OWNER_SHIFT)
-            )
-            return LocksetOutcome(False, WordState.NEW, NO_LOCKSET, NO_LOCKSET)
-
-        if code == _EXCLUSIVE:
-            cur_owner = (packed >> _OWNER_SHIFT) - 1
-            if cur_owner == owner or self._transfers(cur_owner, tid, owner):
-                page[slot] = (packed & _LOW) | ((owner + 1) << _OWNER_SHIFT)
-                return LocksetOutcome(
-                    False, WordState.EXCLUSIVE, NO_LOCKSET, NO_LOCKSET
-                )
-            # Second (unordered) owner: initialise the candidate set with
-            # the locks held *now* — Eraser's delayed initialisation.
-            if is_write:
-                new_id = locks_write
-                race = new_id == EMPTY_ID
-                new_code = (
-                    _RACY if race and self.once_per_word else _SHARED_MOD
-                )
-            else:
-                new_id = locks_any
-                race = False
-                new_code = _SHARED
-            page[slot] = (
-                (packed & _KEEP_OWNER) | new_code | ((new_id + 1) << _LS_SHIFT)
-            )
-            return LocksetOutcome(race, WordState.EXCLUSIVE, prev_id, new_id)
-
-        if code == _SHARED:
-            if is_write:
-                new_id = LOCKSETS.intersect(prev_id, locks_write)
-                race = new_id == EMPTY_ID
-                new_code = (
-                    _RACY if race and self.once_per_word else _SHARED_MOD
-                )
-            else:
-                new_id = LOCKSETS.intersect(prev_id, locks_any)
-                race = False  # read-only sharing never warns
-                new_code = _SHARED
-            page[slot] = (
-                (packed & _KEEP_OWNER) | new_code | ((new_id + 1) << _LS_SHIFT)
-            )
-            return LocksetOutcome(race, WordState.SHARED, prev_id, new_id)
-
-        # SHARED_MODIFIED: both reads and writes refine and may warn.
-        new_id = LOCKSETS.intersect(
-            prev_id, locks_write if is_write else locks_any
+        before = self._peek(addr)
+        outcome = self.access_check(addr, tid, is_write, locks_any, locks_write)
+        if outcome is not None:
+            return outcome
+        after = self._peek(addr)
+        return LocksetOutcome(
+            False,
+            _STATE_OF_CODE[before & _ST_MASK],
+            ((before >> _LS_SHIFT) & _LS_MASK) - 1,
+            ((after >> _LS_SHIFT) & _LS_MASK) - 1,
         )
-        race = new_id == EMPTY_ID
-        new_code = _RACY if race and self.once_per_word else _SHARED_MOD
-        page[slot] = (
-            (packed & _KEEP_OWNER) | new_code | ((new_id + 1) << _LS_SHIFT)
-        )
-        return LocksetOutcome(race, WordState.SHARED_MODIFIED, prev_id, new_id)
 
     def access_check(
         self,
@@ -967,20 +880,14 @@ class LocksetMachine:
         locks_any: int,
         locks_write: int,
     ) -> LocksetOutcome | None:
-        """Hot-path twin of :meth:`access`: ``None`` unless it races.
+        """The Figure 1 access rule: ``None`` unless the access races.
 
-        Identical state semantics, but the overwhelmingly common
-        non-race outcome allocates nothing — no :class:`LocksetOutcome`
-        per access.  ``locks_any`` / ``locks_write`` must already be
-        interned ids (the Helgrind detector precomputes them).
+        The only body of the state machine; :meth:`access` is an outcome
+        view over it.  The overwhelmingly common non-race outcome
+        allocates nothing — no :class:`LocksetOutcome` per access.
+        ``locks_any`` / ``locks_write`` must already be interned ids
+        (the Helgrind detector precomputes them).
         """
-        if not self.use_states:
-            outcome = LocksetMachine.access(
-                self, addr, tid, is_write=is_write,
-                locks_any=locks_any, locks_write=locks_write,
-            )
-            return outcome if outcome.race else None
-
         pages = self._pages
         pi = addr >> _PAGE_BITS
         page = pages.get(pi)
@@ -990,8 +897,14 @@ class LocksetMachine:
             self._page_copies += 1
         slot = addr & _PAGE_MASK
         packed = page[slot]
-        code = packed & _ST_MASK
 
+        if not self.use_states:
+            outcome = self._raw_access(
+                page, slot, packed, is_write, locks_any, locks_write
+            )
+            return outcome if outcome.race else None
+
+        code = packed & _ST_MASK
         if code == _EXCLUSIVE:
             if self.segment_transfer:
                 owner = self._seg_ids.get(tid)
@@ -1088,9 +1001,11 @@ class LocksetMachine:
         return None  # RACY: stopped tracking
 
     def _raw_access(
-        self, page, slot, packed, code, prev_id, is_write, locks_any, locks_write
+        self, page, slot, packed, is_write, locks_any, locks_write
     ) -> LocksetOutcome:
         """§2.3.2's basic algorithm: no states, immediate checking."""
+        code = packed & _ST_MASK
+        prev_id = ((packed >> _LS_SHIFT) & _LS_MASK) - 1
         if code == _RACY:
             return LocksetOutcome(False, WordState.RACY, prev_id, prev_id)
         held = locks_write if is_write else locks_any
@@ -1106,11 +1021,6 @@ class LocksetMachine:
         return LocksetOutcome(race, _STATE_OF_CODE[code], prev_id, new_id)
 
     # ------------------------------------------------------------------
-
-    def _owner_token(self, tid: int) -> int:
-        if self.segment_transfer:
-            return self.segments.current(tid).seg_id
-        return tid
 
     def _transfers(self, cur_owner: int, tid: int, owner: int) -> bool:
         """Does this access keep the word EXCLUSIVE (new owner token)?

@@ -57,11 +57,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.detectors.deadlock import canonical_cycle, cycle_gate, find_cycle
-from repro.detectors.helgrind import (
-    BusLockModel,
-    HelgrindConfig,
-    HelgrindDetector,
-)
+from repro.detectors.helgrind import HelgrindConfig, HelgrindDetector
 from repro.detectors.report import Warning_, WarningKind
 from repro.runtime.events import (
     AccessKind,
@@ -135,9 +131,6 @@ class PredictiveDetector(HelgrindDetector):
         #: 0 = not held, 1 = read mode (plain read under RWLOCK),
         #: 2 = write mode (``LOCK`` prefix).
         self._accesses: dict[int, dict[tuple, tuple]] = {}
-        self._rwlock_bus = (
-            self.config.bus_lock_model is BusLockModel.RWLOCK
-        )
         self._rec_lo = _NO_LO
         self._rec_hi = _NO_HI
         #: Words the live tier already reported — a predicted race there
@@ -155,11 +148,6 @@ class PredictiveDetector(HelgrindDetector):
         self._stat_predictions = 0
         self._stat_feasibility_rejections = 0
         self._vm = None
-        # Chain the prediction recorder in front of whichever
-        # specialised access handler the base class bound (instance
-        # attribute wins the dispatch-table lookup, same trick).
-        self._base_on_access = self._on_access
-        self._on_access = self._on_access_predicting
 
     # ------------------------------------------------------------------
     # Cross-thread lock-set bookkeeping
@@ -278,8 +266,6 @@ class PredictiveDetector(HelgrindDetector):
     def _on_queue_put(self, event: QueuePut, vm) -> None:
         if self.config.queue_hb:
             super()._on_queue_put(event, vm)
-        else:
-            self._last_access = None
         self._queue_lockctx[(event.queue_id, event.msg_id)] = (
             self._context_snapshot(event.tid)
         )
@@ -287,8 +273,6 @@ class PredictiveDetector(HelgrindDetector):
     def _on_queue_get(self, event: QueueGet, vm) -> None:
         if self.config.queue_hb:
             super()._on_queue_get(event, vm)
-        else:
-            self._last_access = None
         self._ct_cache.clear()
         snapshot = self._queue_lockctx.pop(
             (event.queue_id, event.msg_id), None
@@ -299,8 +283,6 @@ class PredictiveDetector(HelgrindDetector):
     def _on_sem_post(self, event: SemPost, vm) -> None:
         if self.config.queue_hb:
             super()._on_sem_post(event, vm)
-        else:
-            self._last_access = None
         contexts = self._sem_lockctx.get(event.sem_id)
         if contexts is None:
             contexts = deque()
@@ -310,8 +292,6 @@ class PredictiveDetector(HelgrindDetector):
     def _on_sem_wait(self, event: SemWait, vm) -> None:
         if self.config.queue_hb:
             super()._on_sem_wait(event, vm)
-        else:
-            self._last_access = None
         self._ct_cache.clear()
         contexts = self._sem_lockctx.get(event.sem_id)
         if contexts:
@@ -351,10 +331,10 @@ class PredictiveDetector(HelgrindDetector):
     # The access path
     # ------------------------------------------------------------------
 
-    def _on_access_predicting(self, event: MemoryAccess, vm) -> None:
+    def _on_access(self, event: MemoryAccess, vm) -> None:
         """Base hot path plus the prediction record (one dict probe per
         access in the steady state: the dedup key usually exists)."""
-        self._base_on_access(event, vm)
+        super()._on_access(event, vm)
         addr = event.addr
         if self._benign and addr in self._benign:
             return

@@ -1050,7 +1050,9 @@ class StreamDecoder:
     Input comes from outside the process, so a record that declares more
     than :data:`MAX_RECORD_BYTES` raises ``ValueError`` as soon as its
     header arrives; the pending fragment never grows past one legal
-    record.
+    record.  A block of an unknown event type or flags byte, and a
+    frame or stack naming a string or frame not yet defined, raise
+    ``ValueError`` as well.
 
     The decoder is picklable mid-stream: its interning tables, counters
     and buffered fragment travel; the unpicklable dispatch table and
@@ -1187,6 +1189,14 @@ class StreamDecoder:
                     break
                 type_idx = data[npos]
                 flags = data[npos + 1]
+                if type_idx >= len(_ROW_STRUCTS):
+                    raise ValueError(
+                        f"corrupt trace: block of unknown event type {type_idx}"
+                    )
+                if flags >= len(_ROW_STRUCTS[type_idx]):
+                    raise ValueError(
+                        f"corrupt trace: block with unknown flags {flags:#x}"
+                    )
                 npos += 2
                 r = _try_varint(data, npos, end)
                 if r is None:
@@ -1260,6 +1270,11 @@ class StreamDecoder:
                 if r is None:
                     break
                 line, npos = r
+                if max(func, file) >= len(strings):
+                    raise ValueError(
+                        f"corrupt trace: frame names undefined string "
+                        f"{max(func, file)} ({len(strings)} defined)"
+                    )
                 frames.append(
                     intern_frame(Frame(strings[func], strings[file], line))
                 )
@@ -1281,6 +1296,11 @@ class StreamDecoder:
                     frame_ids.append(fid)
                 if incomplete:
                     break
+                if frame_ids and max(frame_ids) >= len(frames):
+                    raise ValueError(
+                        f"corrupt trace: stack names undefined frame "
+                        f"{max(frame_ids)} ({len(frames)} defined)"
+                    )
                 stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
             else:
                 raise ValueError(f"corrupt trace: unknown record tag {tag}")

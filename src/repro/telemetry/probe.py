@@ -426,13 +426,14 @@ class Telemetry:
                     help="Whole-table memo clears on reaching the size cap.",
                 ).inc(stats["evictions"])
 
-        # Same-access elision (Helgrind-style redundant-access filter).
+        # Run-length elision inside the batched replay pump.
         elided = getattr(hook, "_elided", None)
         if elided is not None:
             reg.counter(
                 "repro_access_elided_total",
                 {"detector": name},
-                help="Accesses absorbed by the one-entry same-access filter.",
+                help="Rows absorbed by bulk_access's run-length elision; "
+                "0 on live runs.",
             ).inc(elided)
 
         # Predictive-tier counters.  Every detector answers

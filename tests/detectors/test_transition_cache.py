@@ -1,19 +1,18 @@
-"""The memoized transition cache, same-access elision and batched replay
-must be *invisible* in every report (docs/PERFORMANCE.md layer 6).
+"""The memoized transition cache and batched replay must be *invisible*
+in every report (docs/PERFORMANCE.md layer 6).
 
 Four angles:
 
 * **byte-identity, live path** — T1–T3 under all three paper
   configurations produce byte-identical reports with the cache forced
-  on and forced off (the on-path includes the one-entry same-access
-  filter in the specialised access handlers);
+  on and forced off;
 * **byte-identity, batched replay** — replaying the recorded traces
   with the cache on routes whole ``MemoryAccess`` blocks through
   :meth:`HelgrindDetector.bulk_access`; the report must equal both the
   cache-off per-event replay and the live report, byte for byte — even
   with the memo capacity crushed to force evictions mid-replay;
-* **counters** — memo hits/misses/evictions and elided accesses tally
-  where expected and stay zero when disabled;
+* **counters** — memo hits/misses/evictions tally where expected and
+  stay zero when disabled;
 * **gates** — the process-wide default, the per-config override, the
   ``bulk_access_ready`` static gate, and the pickling rule (memo values
   embed process-local lockset ids, so checkpoints ship it empty).
@@ -28,7 +27,7 @@ import pickle
 import pytest
 
 from repro.api.profiles import profile
-from repro.detectors import DjitDetector, HelgrindDetector
+from repro.detectors import HelgrindDetector
 from repro.detectors.helgrind import HelgrindConfig
 from repro.detectors.lockset import (
     LocksetMachine,
@@ -134,15 +133,6 @@ class TestReplayByteIdentity:
         assert _report_bytes(det.report) == reference
         assert det.machine.transition_cache_stats()["evictions"] > 0
 
-    def test_djit_elision_is_invisible(self, traces):
-        path, _ = traces[("T1", "hwlc+dr")]
-        plain = DjitDetector(elide=False)
-        replay_trace(path, plain)
-        eliding = DjitDetector(elide=True)
-        replay_trace(path, eliding)
-        assert _report_bytes(eliding.report) == _report_bytes(plain.report)
-        assert plain._elided == 0
-
 
 # ----------------------------------------------------------------------
 # Counters
@@ -169,29 +159,6 @@ class TestCounters:
         }
         assert det._elided == 0
 
-    def test_elision_fires_on_repeated_accesses(self):
-        """Two identical back-to-back accesses: the second is absorbed
-        and the check counter still advances (parity with uncached)."""
-        from repro.runtime.events import AccessKind, MemoryAccess
-
-        def access(step):
-            return MemoryAccess(
-                step=step, tid=1, stack=(), addr=64,
-                kind=AccessKind.READ, bus_locked=False, block_id=0,
-            )
-
-        det = HelgrindDetector(_config("hwlc+dr", cache=True))
-        det._on_access(access(0), None)
-        det._on_access(access(1), None)
-        assert det._elided == 1
-        assert det._access_checks == 2
-
-        plain = HelgrindDetector(_config("hwlc+dr", cache=False))
-        plain._on_access(access(0), None)
-        plain._on_access(access(1), None)
-        assert plain._elided == 0
-        assert plain._access_checks == 2
-
 
 # ----------------------------------------------------------------------
 # Gates: defaults, overrides, bulk readiness, pickling
@@ -208,7 +175,6 @@ class TestGates:
             assert machine._memo is None
             det = HelgrindDetector(profile("hwlc+dr").config())
             assert det.machine._memo is None
-            assert not det._elide_ok
             assert not det.bulk_access_ready()
         finally:
             set_transition_cache_default(True)

@@ -17,6 +17,8 @@ properties the service relies on:
 * **hostile headers fail fast** — a record declaring more than
   ``MAX_RECORD_BYTES`` is rejected on its header, before the decoder
   buffers its body, while the writer's largest block still streams;
+  an unknown block type or flags byte, or a reference to an undefined
+  string or frame, is a typed ``ValueError``, not an ``IndexError``;
 * **set-up is per process, state is per decoder** — the decode
   templates compile once per process, yet every bound decoder and
   every ``replay_blocks`` call decodes into its own flyweights.
@@ -177,6 +179,25 @@ def test_oversized_record_rejected_on_its_header(header):
     with pytest.raises(ValueError, match="corrupt trace"):
         decoder.feed(codec.MAGIC + header)
     assert decoder.pending_bytes <= len(header)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        bytes([codec._TAG_BLOCK, len(EVENT_TYPES), 0]) + _varint(1),
+        bytes([codec._TAG_BLOCK, 0, 0xFF]) + _varint(1),
+        bytes([codec._TAG_FRAME]) + _varint(0) + _varint(0) + _varint(7),
+        bytes([codec._TAG_STACK]) + _varint(1) + _varint(0),
+    ],
+    ids=["unknown-type", "unknown-flags", "undefined-string", "undefined-frame"],
+)
+def test_undefined_reference_is_a_typed_error(record):
+    """A header naming something the stream never defined fails the
+    session with a ``ValueError`` a server can report, not an
+    ``IndexError`` from inside the decoder."""
+    decoder = StreamDecoder()
+    with pytest.raises(ValueError, match="corrupt trace"):
+        decoder.feed(codec.MAGIC + record)
 
 
 def test_largest_writer_block_streams_under_the_limit():

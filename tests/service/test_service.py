@@ -139,12 +139,15 @@ class TestErrors:
         """Garbage bytes must kill the *session* (ERROR frame, metric)
         — never a worker thread; the next client is unaffected.  That
         includes a header declaring a 1 TiB string, which must fail on
-        arrival rather than have the worker buffer the stream."""
+        arrival rather than have the worker buffer the stream, and a
+        block of an unknown event type."""
         huge = bytearray([codec._TAG_STRING])
         codec._write_varint(huge, 2**40)
+        unknown_type = bytes([codec._TAG_BLOCK, 255, 0, 1])
         corrupt = [
             (b"NOPE this is not RPTR at all", "bad magic"),
             (codec.MAGIC + huge, "record limit"),
+            (codec.MAGIC + unknown_type, "corrupt trace"),
         ]
         for payload, reason in corrupt:
             with AnalysisClient(socket_path=unix_server.address) as client:

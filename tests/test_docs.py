@@ -91,6 +91,41 @@ class TestAlgorithmsDoc:
             importlib.import_module("repro." + module.replace("/", "."))
 
 
+class TestSymbolReferences:
+    def test_backticked_class_attributes_exist(self):
+        """Every backticked ``Class.attr`` in the docs and the README,
+        where ``Class`` is a class defined in ``repro``, names a real
+        attribute — a renamed or deleted method must take its prose
+        with it."""
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro
+
+        classes: dict[str, set[type]] = {}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if inspect.isclass(obj) and obj.__module__.startswith("repro."):
+                    classes.setdefault(name, set()).add(obj)
+        assert "LocksetMachine" in classes
+
+        missing = []
+        for path in [*sorted(DOCS.glob("*.md")), ROOT / "README.md"]:
+            text = path.read_text(encoding="utf-8")
+            text = re.sub(r"```.*?```", "", text, flags=re.S)
+            for span in re.findall(r"`([^`\n]+)`", text):
+                m = re.match(r"([A-Z]\w*)\.([A-Za-z_]\w*)", span)
+                if m is None or m.group(1) not in classes:
+                    continue
+                if not any(hasattr(c, m.group(2)) for c in classes[m.group(1)]):
+                    missing.append(f"{path.name}: {span}")
+        assert not missing, missing
+
+
 class TestObservabilityDoc:
     """docs/OBSERVABILITY.md is the metric contract — keep it honest."""
 
