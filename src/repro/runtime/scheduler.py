@@ -51,10 +51,13 @@ __all__ = [
 class Scheduler(ABC):
     """Strategy interface: pick the next thread to run.
 
-    ``runnable`` is non-empty and sorted by thread id (the VM guarantees
-    both); ``current`` is the thread that just trapped, or ``None`` if it
-    blocked or finished.  Implementations must be side-effect free apart
-    from their own internal state.
+    ``runnable`` is a non-empty tuple sorted by thread id (the VM
+    guarantees both).  The VM reuses the same tuple from trap to trap
+    until the runnable set changes, so a policy may keep it but must
+    not expect a fresh object per call.  ``current`` is the thread that
+    just trapped, or ``None`` if it blocked or finished.
+    Implementations must be side-effect free apart from their own
+    internal state.
     """
 
     @abstractmethod

@@ -77,8 +77,12 @@ class SimThread:
 
         # --- carrier plumbing (owned by the VM) -----------------------
         self.carrier: threading.Thread | None = None
-        #: Set by the VM to release this thread's carrier for one step.
-        self.resume = threading.Event()
+        #: This carrier's baton: locked from birth, and locked again by
+        #: the carrier itself each time it wakes.  The carrier parks in
+        #: ``acquire()``; whoever hands it control calls ``release()``
+        #: exactly once.
+        self.resume = threading.Lock()
+        self.resume.acquire()
 
     # ------------------------------------------------------------------
 

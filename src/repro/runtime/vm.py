@@ -11,10 +11,13 @@ Execution model
   :class:`GuestAPI`.  All interaction with the simulated world — memory,
   locks, threads, client requests — goes through the API.
 * Each guest thread runs on its own host ``threading.Thread`` (the
-  *carrier*), but a token-passing protocol guarantees **exactly one
-  carrier executes at any instant**.  The host GIL therefore never
-  influences interleaving; only the scheduler does.  This is the same
-  arrangement as Valgrind's single-threaded core (paper §3.3: "the
+  *carrier*), but a baton protocol guarantees **exactly one carrier
+  executes at any instant**.  Every carrier owns a ``threading.Lock``
+  baton that stays locked while the carrier is parked in ``acquire()``;
+  handing control to another carrier is one ``release()`` of its baton
+  followed by an ``acquire()`` of one's own.  The host GIL therefore
+  never influences interleaving; only the scheduler does.  This is the
+  same arrangement as Valgrind's single-threaded core (paper §3.3: "the
   virtual machine in itself is single-threaded. Hence, adding more
   processors also will not help.").
 * Every trap is a potential preemption point, so the scheduler can
@@ -38,6 +41,7 @@ that appends to a list — see :mod:`repro.runtime.trace`.
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 from typing import Callable
 
 from repro._util.ids import IdAllocator
@@ -80,6 +84,8 @@ from repro.runtime.sync import (
 from repro.runtime.thread import SimThread, ThreadState
 
 __all__ = ["VM", "GuestAPI", "VMStats"]
+
+_BY_TID = attrgetter("tid")
 
 
 class _GuestAbort(BaseException):
@@ -188,14 +194,22 @@ class VM:
         self._barrier_ids = IdAllocator()
         self._queue_ids = IdAllocator()
 
-        self._control = threading.Event()
+        #: The quiescence loop's baton, the same protocol as a carrier's
+        #: ``SimThread.resume``: locked while the loop waits in
+        #: ``acquire()``, released once by the carrier that hands it
+        #: control.
+        self._control = threading.Lock()
+        self._control.acquire()
         #: Index of currently-runnable threads (tid -> thread).  The
         #: scheduler loop and the _switch fast path consult this instead
         #: of scanning every thread ever created — on a server workload
         #: most threads are finished workers, so the index keeps each
         #: trap O(live runnable) instead of O(all threads).
         self._runnable: dict[int, SimThread] = {}
-        self._current: SimThread | None = None
+        #: ``_runnable`` sorted by tid, as handed to the scheduler.  The
+        #: set rarely changes between two traps, so the tuple is reused
+        #: until ``_set_runnable``/``_set_not_runnable`` drop it.
+        self._run_queue: tuple[SimThread, ...] | None = None
         self._aborting = False
         self._started = False
         self._finished = False
@@ -305,11 +319,12 @@ class VM:
     def _scheduler_loop(self) -> None:
         """Quiescence handler.
 
-        Carriers hand control *directly* to each other (one Event
-        operation per switch); this host-side loop only runs when the
-        guest world goes quiet — at start, when the last runnable thread
-        blocked or finished, and when a carrier reports an error — so it
-        can dispatch, detect deadlock, or propagate the failure.
+        Carriers hand control *directly* to each other (one baton
+        release and one acquire per switch); this host-side loop only
+        runs when the guest world goes quiet — at start, when the last
+        runnable thread blocked or finished, and when a carrier reports
+        an error — so it can dispatch, detect deadlock, or propagate the
+        failure.
         """
         while True:
             if self._pending_error is not None:
@@ -325,22 +340,27 @@ class VM:
                 return  # all threads finished
             chosen = self._choose(None)
             self.stats.switches += 1
-            self._current = chosen
-            self._control.clear()
-            chosen.resume.set()
-            self._control.wait()
+            chosen.resume.release()
+            self._control.acquire()
 
     def _choose(self, current: SimThread | None) -> SimThread:
         """Consult the scheduling policy over the runnable set."""
-        runnable = sorted(self._runnable.values(), key=lambda t: t.tid)
-        return self.scheduler.pick(runnable, current)
+        run_queue = self._run_queue
+        if run_queue is None:
+            run_queue = tuple(sorted(self._runnable.values(), key=_BY_TID))
+            self._run_queue = run_queue
+        return self.scheduler.pick(run_queue, current)
 
     def _abort_carriers(self) -> None:
-        """Wake every live carrier so it unwinds via :class:`_GuestAbort`."""
+        """Wake every live carrier so it unwinds via :class:`_GuestAbort`.
+
+        Every live carrier is parked on its locked baton (or about to
+        park there), so one ``release()`` each wakes them all.
+        """
         self._aborting = True
         for thread in self.threads.values():
             if thread.alive:
-                thread.resume.set()
+                thread.resume.release()
         self._reap_carriers()
 
     def _reap_carriers(self) -> None:
@@ -392,9 +412,11 @@ class VM:
         except BaseException as exc:  # noqa: BLE001 - any guest failure halts the VM
             self._set_not_runnable(thread, ThreadState.FAULTED)
             thread.error = exc
+            if self._aborting:
+                return  # raised while unwinding: the loop is already tearing down
             self._pending_error = exc
             self._wake_joiners(thread)
-            self._control.set()  # the loop aborts every carrier and re-raises
+            self._control.release()  # the loop aborts every carrier and re-raises
             return
         self._wake_joiners(thread)
         # Hand control onward: directly to a runnable carrier, or to the
@@ -402,10 +424,9 @@ class VM:
         if self._runnable:
             chosen = self._choose(None)
             self.stats.switches += 1
-            self._current = chosen
-            chosen.resume.set()
+            chosen.resume.release()
         else:
-            self._control.set()
+            self._control.release()
 
     def _wake_joiners(self, thread: SimThread) -> None:
         for waiter in thread.join_waiters:
@@ -414,18 +435,19 @@ class VM:
 
     def _wait_turn(self, thread: SimThread) -> None:
         """Block this carrier until the scheduler picks ``thread``."""
-        thread.resume.wait()
-        thread.resume.clear()
+        thread.resume.acquire()
         if self._aborting:
             raise _GuestAbort()
 
     def _set_runnable(self, thread: SimThread) -> None:
         thread.state = ThreadState.RUNNABLE
         self._runnable[thread.tid] = thread
+        self._run_queue = None
 
     def _set_not_runnable(self, thread: SimThread, state: ThreadState) -> None:
         thread.state = state
         self._runnable.pop(thread.tid, None)
+        self._run_queue = None
 
     def _switch(self, thread: SimThread) -> None:
         """Scheduling decision point for a still-runnable thread."""
@@ -440,9 +462,10 @@ class VM:
         chosen = self._choose(thread)
         if chosen is thread:
             return  # the policy kept us running: no host switch at all
+        if self._aborting:
+            raise _GuestAbort()  # unwinding guest code: every baton is spent
         self.stats.switches += 1
-        self._current = chosen
-        chosen.resume.set()
+        chosen.resume.release()
         self._wait_turn(thread)
 
     def _park_and_dispatch(self, thread: SimThread) -> None:
@@ -451,13 +474,14 @@ class VM:
         Directly to another runnable carrier if one exists, otherwise to
         the quiescence loop (which will detect deadlock or completion).
         """
+        if self._aborting:
+            raise _GuestAbort()  # unwinding guest code: every baton is spent
         if self._runnable:
             chosen = self._choose(thread)
             self.stats.switches += 1
-            self._current = chosen
-            chosen.resume.set()
+            chosen.resume.release()
         else:
-            self._control.set()
+            self._control.release()
         self._wait_turn(thread)
 
     def _block(self, thread: SimThread, reason: str, waitable: _Waitable) -> None:

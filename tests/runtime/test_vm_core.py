@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import DeadlockError, GuestFault, StepLimitExceeded, VMError
-from repro.runtime import VM, RandomScheduler
+from repro.runtime import VM, FixedOrderScheduler, RandomScheduler, RoundRobinScheduler
 from repro.runtime.events import MemAlloc, MemoryAccess, ThreadCreate, ThreadFinish, ThreadJoin
+from repro.runtime.thread import ThreadState
 from tests.conftest import record_trace, run_program
 
 
@@ -323,6 +327,167 @@ class TestLimitsAndDeadlock:
 
         with pytest.raises(DeadlockError):
             run_program(prog)
+
+
+def _live_carriers() -> list[threading.Thread]:
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("carrier-") and t.is_alive()
+    ]
+
+
+class TestCarrierTeardown:
+    """However a run aborts, ``vm.run`` raises only after every carrier
+    it started has exited.  A parked or not-yet-started carrier waits on
+    its own locked baton; the abort releases each live thread's baton
+    once, and the carrier unwinds from there."""
+
+    def _abort(self, prog, error, *, scheduler=None, step_limit=2_000_000):
+        vm = VM(scheduler=scheduler or RoundRobinScheduler(), step_limit=step_limit)
+        with pytest.raises(error) as exc_info:
+            vm.run(prog)
+        assert [t.name for t in vm.threads.values() if t.carrier.is_alive()] == []
+        assert _live_carriers() == []
+        return vm, exc_info.value
+
+    def test_guest_fault_with_parked_siblings(self):
+        def prog(api):
+            m = api.mutex("held")
+            api.lock(m)  # never unlocked: the waiter stays parked
+
+            def waiter(a):
+                a.lock(m)
+
+            def spinner(a):
+                while True:
+                    a.yield_()
+
+            def bad(a):
+                for _ in range(3):
+                    a.yield_()
+                a.load(0xBAD)
+
+            api.spawn(waiter, name="waiter")
+            api.spawn(spinner, name="spinner")
+            api.join(api.spawn(bad, name="bad"))
+
+        vm, _ = self._abort(prog, GuestFault)
+        states = {t.name: t.state for t in vm.threads.values()}
+        assert states["waiter"] is ThreadState.BLOCKED
+        assert states["spinner"] is ThreadState.RUNNABLE
+        assert states["bad"] is ThreadState.FAULTED
+
+    def test_guest_fault_before_children_start(self):
+        def prog(api):
+            for _ in range(3):
+                api.spawn(lambda a: None)
+            api.store(0xBAD, 1)
+
+        # Always the lowest runnable tid: main runs until it faults.
+        vm, _ = self._abort(prog, GuestFault, scheduler=FixedOrderScheduler([]))
+        assert [t.steps for t in vm.threads.values()] == [3, 0, 0, 0]
+
+    def test_deadlock_on_empty_queue(self):
+        def prog(api):
+            q = api.queue(name="empty")
+
+            def consumer(a):
+                a.get(q)
+
+            api.spawn(consumer)
+            api.spawn(consumer)
+            api.get(q)
+
+        vm, err = self._abort(prog, DeadlockError)
+        assert len(err.blocked) == 3
+        assert len(vm.threads) == 3
+
+    def test_step_limit_with_spinning_threads(self):
+        def spin(api, addr):
+            while True:
+                api.load(addr)
+
+        def prog(api):
+            addr = api.malloc(1)
+            api.store(addr, 0)
+            for _ in range(3):
+                api.spawn(spin, addr)
+            spin(api, addr)
+
+        vm, _ = self._abort(prog, StepLimitExceeded, step_limit=500)
+        assert len(vm.threads) == 4
+
+    def test_unwinding_guest_code_does_not_hand_off(self):
+        """A carrier woken by the abort unwinds through guest ``finally``
+        blocks, which may call the API again.  Those calls must not hand
+        control to another carrier: every other baton is spent."""
+
+        def prog(api):
+            m = api.mutex("m")
+
+            def holder(a):
+                a.lock(m)
+                try:
+                    while True:
+                        a.yield_()
+                finally:
+                    a.unlock(m)
+                    a.yield_()
+
+            def bad(a):
+                for _ in range(3):
+                    a.yield_()
+                a.load(0xBAD)
+
+            api.spawn(holder, name="holder")
+            api.join(api.spawn(bad, name="bad"))
+
+        self._abort(prog, GuestFault)
+
+
+class TestBatonHandOff:
+    def test_no_lost_host_update_under_preemption_pressure(self):
+        """Eight guest threads on two cores hand off through yields, a
+        contended mutex, a queue and thread exit, with the host switch
+        interval cut to a microsecond.  Each does a host-side
+        read-modify-write between two traps; if two carriers ever ran at
+        once, updates would be lost."""
+        box = [0]
+        rounds = 150
+
+        def prog(api):
+            m = api.mutex("m")
+            q = api.queue(name="q")
+
+            def worker(a):
+                for i in range(rounds):
+                    value = box[0]
+                    sum(range(50))  # widen the window between read and write
+                    box[0] = value + 1
+                    if i % 3 == 0:
+                        a.lock(m)
+                        a.yield_()
+                        a.unlock(m)
+                    elif i % 3 == 1:
+                        a.put(q, i)
+                        a.get(q)
+                    else:
+                        a.yield_()
+
+            threads = [api.spawn(worker) for _ in range(8)]
+            for t in threads:
+                api.join(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            vm = VM(scheduler=RandomScheduler(11))
+            vm.run(prog)
+        finally:
+            sys.setswitchinterval(interval)
+        assert box[0] == 8 * rounds
+        assert vm.stats.switches > 8 * rounds
+        assert _live_carriers() == []
 
 
 class TestStats:

@@ -81,6 +81,25 @@ class TestReadme:
             assert factory.replace("_", "") in text.replace("_", "").replace(".", "")
 
 
+class TestPerformanceDoc:
+    def test_profiling_recipe_sees_carrier_threads(self):
+        """Guest code and detector handlers run on the VM's carrier
+        threads; the recipe's merged profile must include them."""
+        (recipe,) = [
+            b
+            for b in _code_blocks(DOCS / "PERFORMANCE.md", "python")
+            if "cProfile" in b
+        ]
+        small, n = re.subn(
+            r"THREADS, ITERATIONS = \d+, \d+", "THREADS, ITERATIONS = 2, 20", recipe
+        )
+        assert n == 1
+        namespace: dict = {}
+        exec(small, namespace)
+        functions = {name for _file, _line, name in namespace["stats"].stats}
+        assert "_on_access" in functions
+
+
 class TestAlgorithmsDoc:
     def test_referenced_symbols_exist(self):
         """Every module path the algorithms doc cites must import."""
