@@ -40,8 +40,7 @@ from repro.api.profiles import AnalysisProfile
 from repro.detectors import HelgrindConfig, HelgrindDetector
 from repro.detectors.report import Report
 from repro.runtime import codec
-from repro.runtime.events import EVENT_TYPES, Event
-from repro.runtime.trace import ReplayVM, replay_trace
+from repro.runtime.trace import ReplayVM, build_handler_table, replay_trace
 
 __all__ = [
     "AnalysisProfile",
@@ -197,16 +196,7 @@ class Session:
 
     def _bind(self) -> None:
         """(Re)build the decoder's per-type handler table."""
-        table = []
-        for cls in EVENT_TYPES:
-            fns = []
-            for hook in self._hooks:
-                resolver = getattr(hook, "handler_for", None)
-                fn = resolver(cls) if resolver is not None else hook.handle
-                if fn is not None:
-                    fns.append(fn)
-            table.append(tuple(fns))
-        self._decoder.bind(table, self.vm)
+        self._decoder.bind(build_handler_table(self._hooks), self.vm)
 
     # -- ingestion -----------------------------------------------------
 

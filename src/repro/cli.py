@@ -852,6 +852,21 @@ def _auto_shards(trace_file) -> int:
     return shards
 
 
+def _trace_errors(cmd):
+    """A trace the codec rejects (``ValueError``, also from a shard
+    worker) ends the command with one stderr line and exit status 2."""
+
+    def run(args) -> int:
+        try:
+            return cmd(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+@_trace_errors
 def _cmd_trace_replay(args) -> int:
     """Feed a recorded trace through a fresh detector (§4.5 offline
     analysis).  The produced report is byte-identical to the live one —
@@ -917,6 +932,7 @@ def _cmd_trace_replay(args) -> int:
     return 0
 
 
+@_trace_errors
 def _cmd_trace_stat(args) -> int:
     """Summarise a trace file (size, event mix, interning tables)."""
     from repro.runtime import codec

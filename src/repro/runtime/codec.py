@@ -41,11 +41,14 @@ replay-from-disk keep up with replay-from-memory.
 
 The write path (:class:`TraceWriter`) is streaming — events go out as
 encoded blocks, nothing is retained — and counts exact bytes written.
-The read path (:func:`read_events`) is a generator over ``(event_class,
-decoded fields...)`` rows; :func:`events_from_bytes` materialises real
-frozen :class:`~repro.runtime.events.Event` objects with canonical
-interned stacks, while :func:`repro.runtime.trace.replay_trace` skips
-the per-event allocation entirely with reusable flyweight twins.
+There is one read path, :class:`StreamDecoder`'s record walker: it
+checks every record header and stops before the first incomplete
+record.  :func:`replay_blocks` is a decoder run over a whole image;
+:func:`read_blocks`, :func:`events_from_bytes` (real frozen events),
+:func:`build_block_index` and :func:`page_histogram` iterate the same
+walker.  So every reader rejects a corrupt trace with
+``ValueError("corrupt trace: …")`` and reads a truncated one up to its
+last complete record.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import fields as dc_fields
+from operator import attrgetter
+from pathlib import Path
 from typing import BinaryIO, Iterator
 
 from repro.runtime.events import (
@@ -142,6 +147,7 @@ _STRUCT_LETTER = {"i": "i", "q": "q", "B": "B", "kind": "B", "mode": "B", "str":
 # Block flags.
 _FLAG_SEQ_STEP = 1  #: per-row step column elided (header carries base)
 _FLAG_NARROW = 2  #: 64-bit fields stored as u32 for this block
+_FLAGS_MAX = _FLAG_SEQ_STEP | _FLAG_NARROW
 
 
 def _row_struct(cls, *, seq: bool, narrow: bool) -> struct.Struct:
@@ -187,19 +193,6 @@ def _write_varint(buf: bytearray, n: int) -> None:
     buf.append(n)
 
 
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    """Read unsigned LEB128 at ``pos`` → (value, next pos)."""
-    result = 0
-    shift = 0
-    while True:
-        b = data[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
-
-
 class TraceWriter:
     """Streaming binary trace encoder with interned string/frame/stack
     tables and an exact :attr:`bytes_written` counter.
@@ -217,19 +210,20 @@ class TraceWriter:
     (:func:`build_block_index`): sharded replay can only skip *whole*
     blocks, so smaller blocks mean a shard worker seeks past more
     foreign data undecoded.  The header overhead stays amortised to
-    well under a byte per event at the default size.
+    well under a byte per event at the default size.  That is also the
+    largest cap, so every block stays under the readers'
+    :data:`MAX_RECORD_BYTES` and the writer cannot produce a trace they
+    reject.
     """
 
-    #: Default block cap — large enough that the ~6-byte block header
-    #: is noise, small enough that single-page access runs produce
-    #: single-shard blocks.
+    #: Default and largest block cap — large enough that the ~6-byte
+    #: block header is noise, small enough that single-page access runs
+    #: produce single-shard blocks.
     DEFAULT_BLOCK_ROWS = 4096
 
-    def __init__(
-        self, fh: BinaryIO, *, block_rows: int | None = DEFAULT_BLOCK_ROWS
-    ) -> None:
-        if block_rows is not None and block_rows < 1:
-            raise ValueError("block_rows must be >= 1 (or None)")
+    def __init__(self, fh: BinaryIO, *, block_rows: int = DEFAULT_BLOCK_ROWS) -> None:
+        if block_rows not in range(1, self.DEFAULT_BLOCK_ROWS + 1):
+            raise ValueError(f"block_rows must be in 1..{self.DEFAULT_BLOCK_ROWS}")
         self._block_rows = block_rows
         self._fh = fh
         self._strings: dict[str, int] = {}
@@ -308,7 +302,7 @@ class TraceWriter:
             row.append(value)
         self._rows.append(tuple(row))
         self.events_written += 1
-        if self._block_rows is not None and len(self._rows) >= self._block_rows:
+        if len(self._rows) >= self._block_rows:
             self._flush_block()
 
     def _flush_block(self) -> None:
@@ -375,6 +369,18 @@ def is_binary_trace(path) -> bool:
         return fh.read(len(MAGIC)) == MAGIC
 
 
+def _check_magic(data) -> None:
+    if not data.startswith(MAGIC):
+        raise ValueError("not a binary trace (bad magic)")
+
+
+def _walk(data: bytes) -> tuple["StreamDecoder", Iterator[tuple]]:
+    """A fresh decoder and its record walker over a whole trace image."""
+    _check_magic(data)
+    decoder = StreamDecoder()
+    return decoder, decoder._records(data, len(MAGIC), len(data))
+
+
 def read_blocks(data: bytes) -> Iterator[tuple]:
     """Block-level generator over an in-memory trace image.
 
@@ -386,52 +392,13 @@ def read_blocks(data: bytes) -> Iterator[tuple]:
     block, not per event.  ``base_step`` is the SEQ_STEP base (row ``i``
     has step ``base_step + i`` and no step column) or ``None`` when the
     rows carry their own steps.  Consumers can also *skip* whole blocks
-    whose type nobody subscribes to without decoding a single row (the
-    fast replay path does).
+    whose type nobody subscribes to without decoding a single row.
     """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
+    decoder, records = _walk(data)
     view = memoryview(data)
-    pos = len(MAGIC)
-    end = len(data)
-    strings: list[str] = []
-    frames: list[Frame] = []
-    stacks: list[tuple] = []
-    row_structs = _ROW_STRUCTS
-    while pos < end:
-        tag = data[pos]
-        pos += 1
-        if tag == _TAG_BLOCK:
-            type_idx = data[pos]
-            flags = data[pos + 1]
-            pos += 2
-            count, pos = _read_varint(data, pos)
-            if flags & _FLAG_SEQ_STEP:
-                base, pos = _read_varint(data, pos)
-            else:
-                base = None
-            s = row_structs[type_idx][flags]
-            size = s.size * count
-            yield type_idx, stacks, strings, s, view[pos:pos + size], base
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            strings.append(data[pos:pos + length].decode("utf-8"))
-            pos += length
-        elif tag == _TAG_FRAME:
-            func, pos = _read_varint(data, pos)
-            file, pos = _read_varint(data, pos)
-            line, pos = _read_varint(data, pos)
-            frames.append(Frame(strings[func], strings[file], line))
-        elif tag == _TAG_STACK:
-            count, pos = _read_varint(data, pos)
-            frame_ids = []
-            for _ in range(count):
-                fid, pos = _read_varint(data, pos)
-                frame_ids.append(fid)
-            stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
+    stacks, strings = decoder._stacks, decoder._strings
+    for _at, type_idx, s, base, start, n in records:
+        yield type_idx, stacks, strings, s, view[start:start + s.size * n], base
 
 
 def read_events(data: bytes) -> Iterator[tuple]:
@@ -442,60 +409,67 @@ def read_events(data: bytes) -> Iterator[tuple]:
     steps reconstituted here.  Consumers that want real events use
     :func:`events_from_bytes`.
     """
-    types = EVENT_TYPES
     for type_idx, stacks, strings, s, block, base in read_blocks(data):
-        cls = types[type_idx]
-        if base is None:
-            for row in s.iter_unpack(block):
-                yield cls, stacks, strings, row
-        else:
-            for i, row in enumerate(s.iter_unpack(block)):
-                yield cls, stacks, strings, (base + i, *row)
+        cls = EVENT_TYPES[type_idx]
+        rows = s.iter_unpack(block)
+        if base is not None:
+            rows = ((step, *row) for step, row in enumerate(rows, base))
+        for row in rows:
+            yield cls, stacks, strings, row
 
 
-#: Per-type decoders turning a raw row into constructor positionals.
-#: ``None`` entries pass through; callables transform.
-def _decoders_for(cls) -> tuple:
-    out = []
-    for _, code in _SPECS[cls]:
-        if code == "B":
-            out.append("B")
-        elif code == "kind":
-            out.append("kind")
-        elif code == "mode":
-            out.append("mode")
-        elif code == "str":
-            out.append("str")
-        else:
-            out.append(None)
-    return tuple(out)
+#: Per-type getter of a filled flyweight's positional constructor
+#: arguments — ``stack`` is keyword-only on the frozen classes.
+_EVENT_ARGS = tuple(
+    attrgetter("step", "tid", *(name for name, _ in _SPECS[cls]))
+    for cls in EVENT_TYPES
+)
 
 
-_DECODERS: dict[type, tuple] = {cls: _decoders_for(cls) for cls in EVENT_TYPES}
+def _fill_rows(type_idx: int, s: struct.Struct, block, base, stacks, strings):
+    """One block's rows, each decoded by the type's fill function into a
+    flyweight fresh for the block — the row loop behind
+    :func:`events_from_bytes` and :func:`_check_rows`."""
+    fly_class, fill, seq_fill = _templates()[type_idx][:3]
+    fly = fly_class()
+    if base is None:
+        for row in s.iter_unpack(block):
+            yield fill(fly, stacks, strings, row)
+    else:
+        for step, row in enumerate(s.iter_unpack(block), base):
+            yield seq_fill(fly, stacks, strings, row, step)
 
 
-def decode_row(cls, stacks, strings, row) -> Event:
-    """Materialise one frozen event from a raw row."""
-    args = []
-    codes = _DECODERS[cls]
-    for value, code in zip(row[3:], codes):
-        if code is None:
-            args.append(value)
-        elif code == "B":
-            args.append(_BOOLS[value])
-        elif code == "str":
-            args.append(strings[value])
-        elif code == "kind":
-            args.append(_KINDS[value])
-        else:
-            args.append(_MODES[value])
-    return cls(row[0], row[1], *args, stack=stacks[row[2]])
+def _check_rows(type_idx: int, s: struct.Struct, block, base, stacks, strings) -> None:
+    """Re-decode a block whose decode raised ``IndexError``, and raise a
+    typed error at the first row that names an undefined stack or string
+    or carries an out-of-range enum.  Returns when every row decodes —
+    the error came from a handler, and the caller re-raises it."""
+    rows = _fill_rows(type_idx, s, block, base, stacks, strings)
+    decoded = 0
+    try:
+        for decoded, _ in enumerate(rows, 1):
+            pass
+    except IndexError:
+        raise ValueError(
+            f"corrupt trace: row {decoded} of a {EVENT_TYPES[type_idx].__name__} "
+            "block names an undefined stack or string, or an out-of-range enum"
+        ) from None
 
 
 def events_from_bytes(data: bytes) -> Iterator[Event]:
-    """Generator of real frozen events (canonical interned stacks)."""
-    for cls, stacks, strings, row in read_events(data):
-        yield decode_row(cls, stacks, strings, row)
+    """Generator of real frozen events (canonical interned stacks),
+    each built from a flyweight filled by the same generated fill
+    function replay uses — so a corrupt row fails here as it does there.
+    """
+    for type_idx, stacks, strings, s, block, base in read_blocks(data):
+        cls, args = EVENT_TYPES[type_idx], _EVENT_ARGS[type_idx]
+        try:
+            for fly in _fill_rows(type_idx, s, block, base, stacks, strings):
+                yield cls(*args(fly), stack=fly.stack)
+        except IndexError:
+            _check_rows(type_idx, s, block, base, stacks, strings)
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -713,6 +687,7 @@ def _bulk_for(type_idx: int, fns) -> "object | None":
     return owner.bulk_access
 
 
+
 def replay_blocks(
     data: bytes,
     handler_table,
@@ -723,10 +698,11 @@ def replay_blocks(
 ) -> int:
     """The replay-from-binary hot loop; returns the event count.
 
-    A manually inlined variant of :func:`read_blocks` + dispatch —
-    no generator suspension, no per-block tuple, zero-copy memoryview
-    rows, and single-byte varints (the overwhelmingly common case)
-    read without a function call.  ``handler_table[type_idx]`` is a
+    A :class:`StreamDecoder` bound to ``handler_table`` and run once
+    over the whole image — the same record walker and dispatch step a
+    streamed session uses, so a file and a stream of the same bytes
+    decode, dispatch and fail identically, and a truncated file replays
+    up to its last complete record.  ``handler_table[type_idx]`` is a
     tuple of handler callables (empty → the block is skipped without
     decoding a row); one subscriber takes the fused codegen loop,
     several share a flyweight per row.
@@ -738,105 +714,10 @@ def replay_blocks(
     trace length.  ``stats`` (a :class:`ReplayStats`) receives the
     block accounting when given; the default path pays nothing for it.
     """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
-    dispatch = _dispatch_table(handler_table)
-    view = memoryview(data)
-    pos = len(MAGIC)
-    end = len(data)
-    strings: list[str] = []
-    frames: list[Frame] = []
-    stacks: list[tuple] = []
-    count = 0
-    while pos < end:
-        tag = data[pos]
-        record_at = pos
-        pos += 1
-        if tag == _TAG_BLOCK:
-            entry = dispatch[data[pos]]
-            flags = data[pos + 1]
-            pos += 2
-            n = data[pos]
-            pos += 1
-            if n & 0x80:
-                n, pos = _read_varint(data, pos - 1)
-            if flags & _FLAG_SEQ_STEP:
-                base = data[pos]
-                pos += 1
-                if base & 0x80:
-                    base, pos = _read_varint(data, pos - 1)
-            else:
-                base = None
-            s = entry[0][flags]
-            size = s.size * n
-            count += n
-            if skip_blocks is not None and record_at in skip_blocks:
-                if stats is not None:
-                    stats.blocks_skipped_shard += 1
-                    stats.events_skipped += n
-                pos += size
-                continue
-            single = entry[1]
-            if stats is not None:
-                if single is None and not entry[2]:
-                    stats.blocks_skipped_type += 1
-                    stats.events_skipped += n
-                else:
-                    stats.blocks_decoded += 1
-            if single is not None:
-                if n == 1:
-                    # Single-row block (types alternating in the stream
-                    # fragment blocks): unpack straight from the backing
-                    # bytes — no memoryview slice, no iterator.
-                    row = s.unpack_from(data, pos)
-                    if base is None:
-                        single(entry[4](entry[3], stacks, strings, row), vm)
-                    else:
-                        single(
-                            entry[5](entry[3], stacks, strings, row, base), vm
-                        )
-                else:
-                    block = view[pos:pos + size]
-                    bulk = entry[8]
-                    if bulk is None or not bulk(block, s, base, stacks, vm):
-                        loop = entry[6] if base is None else entry[7]
-                        loop(entry[3], block, s, stacks, strings, single, vm, base)
-            elif entry[2]:
-                fns = entry[2]
-                fly = entry[3]
-                block = view[pos:pos + size]
-                if base is None:
-                    fill = entry[4]
-                    for row in s.iter_unpack(block):
-                        event = fill(fly, stacks, strings, row)
-                        for fn in fns:
-                            fn(event, vm)
-                else:
-                    fill = entry[5]
-                    for i, row in enumerate(s.iter_unpack(block)):
-                        event = fill(fly, stacks, strings, row, base + i)
-                        for fn in fns:
-                            fn(event, vm)
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            strings.append(data[pos:pos + length].decode("utf-8"))
-            pos += length
-        elif tag == _TAG_FRAME:
-            func, pos = _read_varint(data, pos)
-            file, pos = _read_varint(data, pos)
-            line, pos = _read_varint(data, pos)
-            frames.append(Frame(strings[func], strings[file], line))
-        elif tag == _TAG_STACK:
-            n, pos = _read_varint(data, pos)
-            frame_ids = []
-            for _ in range(n):
-                fid, pos = _read_varint(data, pos)
-                frame_ids.append(fid)
-            stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
-    return count
+    _check_magic(data)
+    decoder = StreamDecoder()
+    decoder.bind(handler_table, vm)
+    return decoder._run(data, len(MAGIC), skip_blocks, stats)
 
 
 # ----------------------------------------------------------------------
@@ -852,6 +733,16 @@ DEFAULT_PAGE_BITS = 10
 #: ``MemoryAccess`` is the partitioned event type; everything else is
 #: skeleton, replicated to every shard.
 _ACCESS_TYPE_IDX = _TYPE_INDEX[MemoryAccess]
+
+
+def _access_rows(data: bytes) -> Iterator[tuple]:
+    """Per ``MemoryAccess`` block: ``(record offset, row iterator, addr
+    column)`` — the walk behind the block index and page histogram."""
+    view = memoryview(data)
+    for record_at, type_idx, s, base, start, n in _walk(data)[1]:
+        if type_idx == _ACCESS_TYPE_IDX:
+            rows = s.iter_unpack(view[start:start + s.size * n])
+            yield record_at, rows, 2 if base is not None else 3
 
 
 def build_block_index(
@@ -875,49 +766,17 @@ def build_block_index(
     thread-lifecycle, allocation) and every shard must replay them.
     The scan early-exits a block once its mask saturates.
     """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     index: dict[int, int] = {}
     full_mask = (1 << num_shards) - 1
-    pos = len(MAGIC)
-    end = len(data)
-    while pos < end:
-        tag = data[pos]
-        record_at = pos
-        pos += 1
-        if tag == _TAG_BLOCK:
-            type_idx = data[pos]
-            flags = data[pos + 1]
-            pos += 2
-            n, pos = _read_varint(data, pos)
-            if flags & _FLAG_SEQ_STEP:
-                _, pos = _read_varint(data, pos)
-            s = _ROW_STRUCTS[type_idx][flags]
-            size = s.size * n
-            if type_idx == _ACCESS_TYPE_IDX:
-                addr_col = 2 if flags & _FLAG_SEQ_STEP else 3
-                mask = 0
-                for row in s.iter_unpack(data[pos:pos + size]):
-                    mask |= 1 << ((row[addr_col] >> page_bits) % num_shards)
-                    if mask == full_mask:
-                        break
-                index[record_at] = mask
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            pos += length
-        elif tag == _TAG_FRAME:
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-        elif tag == _TAG_STACK:
-            n, pos = _read_varint(data, pos)
-            for _ in range(n):
-                _, pos = _read_varint(data, pos)
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
+    for record_at, rows, addr_col in _access_rows(data):
+        mask = 0
+        for row in rows:
+            mask |= 1 << ((row[addr_col] >> page_bits) % num_shards)
+            if mask == full_mask:
+                break
+        index[record_at] = mask
     return index
 
 
@@ -942,42 +801,11 @@ def page_histogram(
     ``pages`` as everything collapses onto one page; 0.0 when there
     are no accesses at all.
     """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
     counts: dict[int, int] = {}
-    pos = len(MAGIC)
-    end = len(data)
-    while pos < end:
-        tag = data[pos]
-        pos += 1
-        if tag == _TAG_BLOCK:
-            type_idx = data[pos]
-            flags = data[pos + 1]
-            pos += 2
-            n, pos = _read_varint(data, pos)
-            if flags & _FLAG_SEQ_STEP:
-                _, pos = _read_varint(data, pos)
-            s = _ROW_STRUCTS[type_idx][flags]
-            size = s.size * n
-            if type_idx == _ACCESS_TYPE_IDX:
-                addr_col = 2 if flags & _FLAG_SEQ_STEP else 3
-                for row in s.iter_unpack(data[pos:pos + size]):
-                    page = row[addr_col] >> page_bits
-                    counts[page] = counts.get(page, 0) + 1
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            pos += length
-        elif tag == _TAG_FRAME:
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-        elif tag == _TAG_STACK:
-            n, pos = _read_varint(data, pos)
-            for _ in range(n):
-                _, pos = _read_varint(data, pos)
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
+    for _at, rows, addr_col in _access_rows(data):
+        for row in rows:
+            page = row[addr_col] >> page_bits
+            counts[page] = counts.get(page, 0) + 1
     accesses = sum(counts.values())
     pages = len(counts)
     hottest = max(counts.values()) if counts else 0
@@ -991,16 +819,16 @@ def page_histogram(
 
 
 # ----------------------------------------------------------------------
-# Streaming decoding (the service ingest tier)
+# The one RPTR reader (streaming, resumable, checked)
 # ----------------------------------------------------------------------
 
 
-#: Largest record a streamed reader accepts, in declared bytes: a
-#: STRING's length, a STACK's frame count (every frame id takes at least
-#: one byte) or a BLOCK's rows × row size.  The writer's largest record
-#: is a full default block — 4096 rows of at most 36 B, under 150 KiB —
-#: so anything bigger is corrupt.  Rejecting it on the header bounds the
-#: bytes :class:`StreamDecoder` ever holds pending.
+#: Largest record any reader accepts, in declared bytes: a STRING's
+#: length, a STACK's frame count (every frame id takes at least one
+#: byte) or a BLOCK's rows × row size.  The writer's largest record is a
+#: full block — at most 4096 rows of at most 36 B, 144 KiB — so anything
+#: bigger is corrupt.  Rejecting it on the header bounds the bytes
+#: :class:`StreamDecoder` ever holds pending.
 MAX_RECORD_BYTES = 1 << 20
 
 
@@ -1023,36 +851,56 @@ def _try_varint(data: bytes, pos: int, end: int) -> tuple[int, int] | None:
     return None
 
 
+def _try_varints(data: bytes, pos: int, end: int, count: int):
+    """Read ``count`` varints at ``pos`` → ``(values, next pos)``;
+    ``None`` if they run off ``end``."""
+    values = []
+    for _ in range(count):
+        r = _try_varint(data, pos, end)
+        if r is None:
+            return None
+        value, pos = r
+        values.append(value)
+    return values, pos
+
+
 def _oversized(what: str) -> ValueError:
     return ValueError(
         f"corrupt trace: {what} exceeds the {MAX_RECORD_BYTES}-byte record limit"
     )
 
 
-class StreamDecoder:
-    """Incremental, resumable RPTR v1 decoder tolerant of partial reads.
+#: The dispatch table of a never-bound decoder: no single handler
+#: (``[1]``) and no handlers (``[2]``), so every block is skipped.
+_UNBOUND = ((None, None, ()),) * len(EVENT_TYPES)
 
-    :func:`replay_blocks` wants the whole trace as one bytes object; a
-    network ingest path gets the same byte stream in arbitrary chunks —
-    a record (or even a varint inside one) can straddle any boundary.
+
+class StreamDecoder:
+    """Incremental, resumable RPTR v1 decoder tolerant of partial reads —
+    the one reader of the format.
+
+    A network ingest path gets the byte stream in arbitrary chunks — a
+    record (or even a varint inside one) can straddle any boundary.
     :meth:`feed` buffers input and decodes every *complete* record,
     leaving the trailing fragment buffered for the next chunk, so the
     chunking of the transport never changes what the detectors see.
+    :func:`replay_blocks` is a decoder run once over a whole image, and
+    the other whole-image readers iterate the same record walker, so
+    every reader applies the same checks.
 
-    Dispatch uses the exact machinery of :func:`replay_blocks` — fused
-    codegen loops for single-subscriber types, shared flyweights for
-    multi-subscriber ones, undecoded skipping for types nobody wants —
-    with the process-wide compiled templates but *private* flyweight
-    instances (stamped at :meth:`bind` time), so any number of decoders
-    can run on concurrent threads (one per analysis session) without
-    sharing mutable state.
+    Dispatch is one step for every caller — fused codegen loops for
+    single-subscriber types, shared flyweights for multi-subscriber
+    ones, undecoded skipping for types nobody wants — with the
+    process-wide compiled templates but *private* flyweight instances,
+    so any number of decoders can run on concurrent threads (one per
+    analysis session) without sharing mutable state.
 
-    Input comes from outside the process, so a record that declares more
-    than :data:`MAX_RECORD_BYTES` raises ``ValueError`` as soon as its
-    header arrives; the pending fragment never grows past one legal
-    record.  A block of an unknown event type or flags byte, and a
-    frame or stack naming a string or frame not yet defined, raise
-    ``ValueError`` as well.
+    Input comes from outside the process, so the walker checks every
+    record on its header (:meth:`_records`): a record over
+    :data:`MAX_RECORD_BYTES` fails as soon as its header arrives, and
+    the pending fragment never grows past one legal record.  A row
+    naming an undefined stack or string, or carrying an out-of-range
+    enum, fails the block that holds it.
 
     The decoder is picklable mid-stream: its interning tables, counters
     and buffered fragment travel; the unpicklable dispatch table and
@@ -1081,8 +929,10 @@ class StreamDecoder:
         self.bytes_consumed = 0
         self.events_decoded = 0
         self.blocks_decoded = 0
-        self._dispatch: list | None = None
+        self._dispatch = _UNBOUND
         self._vm = None
+        #: Where the last walk stopped: the end of its last complete record.
+        self._walked = 0
 
     # -- handler wiring ------------------------------------------------
 
@@ -1130,7 +980,7 @@ class StreamDecoder:
         self.bytes_consumed = state["bytes_consumed"]
         self.events_decoded = state["events_decoded"]
         self.blocks_decoded = state["blocks_decoded"]
-        self._dispatch = None
+        self._dispatch = _UNBOUND
         self._vm = None
 
     # -- introspection -------------------------------------------------
@@ -1154,148 +1004,122 @@ class StreamDecoder:
         """Buffer ``data``, decode every complete record, dispatch the
         events to the bound handlers; returns the number of events
         decoded by *this* call."""
-        self._buf += data
-        self.bytes_fed += len(data)
-        return self._drain()
-
-    def _drain(self) -> int:
         buf = self._buf
+        buf += data
+        self.bytes_fed += len(data)
         if not self._magic_seen:
             if len(buf) < len(MAGIC):
                 return 0
-            if bytes(buf[: len(MAGIC)]) != MAGIC:
-                raise ValueError("not a binary trace (bad magic)")
+            _check_magic(buf)
             del buf[: len(MAGIC)]
             self.bytes_consumed += len(MAGIC)
             self._magic_seen = True
-        if not buf:
-            return 0
-        data = bytes(buf)
-        view = memoryview(data)
-        pos = 0
-        end = len(data)
-        dispatch = self._dispatch
-        vm = self._vm
+        events = self._run(bytes(buf), 0)
+        del buf[: self._walked]
+        self.bytes_consumed += self._walked
+        return events
+
+    def _records(self, data: bytes, pos: int, end: int) -> Iterator[tuple]:
+        """Walk the complete records of ``data[pos:end]``.
+
+        STRING, FRAME and STACK definitions extend this decoder's
+        tables.  Each BLOCK yields ``(record_at, type_idx, row_struct,
+        base, start, n)``: the offset of its tag byte, its type index,
+        the struct of its rows, its SEQ_STEP base step (``None`` when
+        the rows carry their own steps), the offset of its first row and
+        its row count.  The walk stops before the first incomplete
+        record and leaves that record's offset in :attr:`_walked`.
+
+        It raises ``ValueError("corrupt trace: …")`` on an unknown
+        record tag, event type or flags byte, a string that is not
+        UTF-8, a frame or stack naming a string or frame not yet
+        defined, a varint over 64 bits and a record over
+        :data:`MAX_RECORD_BYTES`.
+        """
         strings = self._strings
         frames = self._frames
         stacks = self._stacks
-        events = 0
-        blocks = 0
+        structs = _ROW_STRUCTS
+        num_types = len(structs)
         while pos < end:
+            record_at = pos
             tag = data[pos]
-            npos = pos + 1
+            pos += 1
             if tag == _TAG_BLOCK:
-                if end - npos < 2:
+                if end - pos < 3:
                     break
-                type_idx = data[npos]
-                flags = data[npos + 1]
-                if type_idx >= len(_ROW_STRUCTS):
+                type_idx = data[pos]
+                flags = data[pos + 1]
+                if type_idx >= num_types:
                     raise ValueError(
                         f"corrupt trace: block of unknown event type {type_idx}"
                     )
-                if flags >= len(_ROW_STRUCTS[type_idx]):
+                if flags > _FLAGS_MAX:
                     raise ValueError(
                         f"corrupt trace: block with unknown flags {flags:#x}"
                     )
-                npos += 2
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                n, npos = r
-                if flags & _FLAG_SEQ_STEP:
-                    r = _try_varint(data, npos, end)
+                n = data[pos + 2]
+                pos += 3
+                if n & 0x80:
+                    r = _try_varint(data, pos - 1, end)
                     if r is None:
                         break
-                    base, npos = r
+                    n, pos = r
+                if flags & _FLAG_SEQ_STEP:
+                    # The base step is the VM's step number: past the
+                    # first 128 events it never fits one byte.
+                    r = _try_varint(data, pos, end)
+                    if r is None:
+                        break
+                    base, pos = r
                 else:
                     base = None
-                s = _ROW_STRUCTS[type_idx][flags]
+                s = structs[type_idx][flags]
                 size = s.size * n
                 if size > MAX_RECORD_BYTES:
                     raise _oversized(f"a block of {n} rows ({size} bytes)")
-                if end - npos < size:
+                if end - pos < size:
                     break
-                if dispatch is not None:
-                    entry = dispatch[type_idx]
-                    single = entry[1]
-                    if single is not None:
-                        block = view[npos:npos + size]
-                        bulk = entry[8]
-                        if bulk is None or not bulk(block, s, base, stacks, vm):
-                            loop = entry[6] if base is None else entry[7]
-                            loop(
-                                entry[3], block, s, stacks, strings, single, vm,
-                                base,
-                            )
-                    elif entry[2]:
-                        fns = entry[2]
-                        fly = entry[3]
-                        block = view[npos:npos + size]
-                        if base is None:
-                            fill = entry[4]
-                            for row in s.iter_unpack(block):
-                                event = fill(fly, stacks, strings, row)
-                                for fn in fns:
-                                    fn(event, vm)
-                        else:
-                            fill = entry[5]
-                            for i, row in enumerate(s.iter_unpack(block)):
-                                event = fill(fly, stacks, strings, row, base + i)
-                                for fn in fns:
-                                    fn(event, vm)
-                events += n
-                blocks += 1
-                npos += size
+                yield record_at, type_idx, s, base, pos, n
+                pos += size
             elif tag == _TAG_STRING:
-                r = _try_varint(data, npos, end)
+                r = _try_varint(data, pos, end)
                 if r is None:
                     break
-                length, npos = r
+                length, pos = r
                 if length > MAX_RECORD_BYTES:
                     raise _oversized(f"a string of {length} bytes")
-                if end - npos < length:
+                if end - pos < length:
                     break
-                strings.append(data[npos:npos + length].decode("utf-8"))
-                npos += length
+                try:
+                    strings.append(str(data[pos:pos + length], "utf-8"))
+                except UnicodeDecodeError:
+                    raise ValueError(
+                        f"corrupt trace: string {len(strings)} is not UTF-8"
+                    ) from None
+                pos += length
             elif tag == _TAG_FRAME:
-                r = _try_varint(data, npos, end)
+                r = _try_varints(data, pos, end, 3)
                 if r is None:
                     break
-                func, npos = r
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                file, npos = r
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                line, npos = r
+                (func, file, line), pos = r
                 if max(func, file) >= len(strings):
                     raise ValueError(
                         f"corrupt trace: frame names undefined string "
                         f"{max(func, file)} ({len(strings)} defined)"
                     )
-                frames.append(
-                    intern_frame(Frame(strings[func], strings[file], line))
-                )
+                frames.append(intern_frame(Frame(strings[func], strings[file], line)))
             elif tag == _TAG_STACK:
-                r = _try_varint(data, npos, end)
+                r = _try_varint(data, pos, end)
                 if r is None:
                     break
-                count, npos = r
+                count, pos = r
                 if count > MAX_RECORD_BYTES:
                     raise _oversized(f"a stack of {count} frames")
-                frame_ids = []
-                incomplete = False
-                for _ in range(count):
-                    r = _try_varint(data, npos, end)
-                    if r is None:
-                        incomplete = True
-                        break
-                    fid, npos = r
-                    frame_ids.append(fid)
-                if incomplete:
+                r = _try_varints(data, pos, end, count)
+                if r is None:
                     break
+                frame_ids, pos = r
                 if frame_ids and max(frame_ids) >= len(frames):
                     raise ValueError(
                         f"corrupt trace: stack names undefined frame "
@@ -1304,10 +1128,77 @@ class StreamDecoder:
                 stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
             else:
                 raise ValueError(f"corrupt trace: unknown record tag {tag}")
-            pos = npos
-        if pos:
-            del buf[:pos]
-            self.bytes_consumed += pos
+        else:
+            record_at = pos
+        self._walked = record_at
+
+    def _run(self, data: bytes, pos: int, skip_blocks=None, stats=None) -> int:
+        """Walk ``data[pos:]`` and dispatch every complete block — the one
+        dispatch step behind :meth:`feed` and :func:`replay_blocks`.
+        Returns the rows walked, skipped blocks included."""
+        dispatch = self._dispatch
+        vm = self._vm
+        stacks = self._stacks
+        strings = self._strings
+        view = memoryview(data)
+        events = blocks = 0
+        for record_at, type_idx, s, base, start, n in self._records(
+            data, pos, len(data)
+        ):
+            events += n
+            blocks += 1
+            if skip_blocks is not None and record_at in skip_blocks:
+                if stats is not None:
+                    stats.blocks_skipped_shard += 1
+                    stats.events_skipped += n
+                continue
+            entry = dispatch[type_idx]
+            single = entry[1]
+            if stats is not None:
+                if single is None and not entry[2]:
+                    stats.blocks_skipped_type += 1
+                    stats.events_skipped += n
+                else:
+                    stats.blocks_decoded += 1
+            try:
+                if single is not None:
+                    if n == 1:
+                        # Single-row block (types alternating in the
+                        # stream fragment blocks): unpack straight from
+                        # the backing bytes — no slice, no iterator.
+                        row = s.unpack_from(data, start)
+                        if base is None:
+                            single(entry[4](entry[3], stacks, strings, row), vm)
+                        else:
+                            single(
+                                entry[5](entry[3], stacks, strings, row, base), vm
+                            )
+                    else:
+                        block = view[start:start + s.size * n]
+                        bulk = entry[8]
+                        if bulk is None or not bulk(block, s, base, stacks, vm):
+                            loop = entry[6] if base is None else entry[7]
+                            loop(entry[3], block, s, stacks, strings, single, vm, base)
+                elif entry[2]:
+                    fns = entry[2]
+                    fly = entry[3]
+                    block = view[start:start + s.size * n]
+                    if base is None:
+                        fill = entry[4]
+                        for row in s.iter_unpack(block):
+                            event = fill(fly, stacks, strings, row)
+                            for fn in fns:
+                                fn(event, vm)
+                    else:
+                        fill = entry[5]
+                        for step, row in enumerate(s.iter_unpack(block), base):
+                            event = fill(fly, stacks, strings, row, step)
+                            for fn in fns:
+                                fn(event, vm)
+            except IndexError:
+                block = view[start:start + s.size * n]
+                _check_rows(type_idx, s, block, base, stacks, strings)
+                raise
         self.events_decoded += events
         self.blocks_decoded += blocks
         return events
@@ -1316,27 +1207,23 @@ class StreamDecoder:
 def trace_stats(path) -> dict:
     """Summary of a binary trace for ``repro trace stat``.
 
-    One pass over the file: event counts by type, interning-table
+    One walk over the file: event counts by type, interning-table
     populations, file size, and bytes/event.
     """
-    import os
-
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
+    decoder, records = _walk(data)
     by_type: dict[str, int] = {}
-    strings = stacks = 0
     total = 0
-    for cls, _stacks, _strings, _row in read_events(data):
-        name = cls.__name__
-        by_type[name] = by_type.get(name, 0) + 1
-        total += 1
-        strings = len(_strings)
-        stacks = len(_stacks)
+    for _at, type_idx, _s, _base, _start, n in records:
+        name = EVENT_TYPES[type_idx].__name__
+        by_type[name] = by_type.get(name, 0) + n
+        total += n
     return {
         "path": str(path),
-        "file_bytes": os.path.getsize(path),
+        "file_bytes": len(data),
         "events": total,
         "by_type": dict(sorted(by_type.items(), key=lambda kv: -kv[1])),
-        "strings": strings,
-        "stacks": stacks,
-        "bytes_per_event": (os.path.getsize(path) / total) if total else 0.0,
+        "strings": len(decoder._strings),
+        "stacks": len(decoder._stacks),
+        "bytes_per_event": (len(data) / total) if total else 0.0,
     }

@@ -321,7 +321,7 @@ def test_stats_without_skip_set_counts_type_skips():
         MemoryAccess(0, 0, 0x10, AccessKind.READ, False, -1),
         LockAcquire(1, 0, 7, LockMode.WRITE, False),
     ]
-    data = _write_trace(events, block_rows=None)
+    data = _write_trace(events, block_rows=TraceWriter.DEFAULT_BLOCK_ROWS)
     table: list[tuple] = [() for _ in EVENT_TYPES]
     table[_ACCESS_IDX] = ((lambda e, vm: None),)
     stats = codec.ReplayStats()

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.runtime import codec
+from repro.runtime.events import EVENT_TYPES, LockAcquire
 from repro.service import (
     AnalysisClient,
     AnalysisServer,
@@ -139,15 +140,22 @@ class TestErrors:
         """Garbage bytes must kill the *session* (ERROR frame, metric)
         — never a worker thread; the next client is unaffected.  That
         includes a header declaring a 1 TiB string, which must fail on
-        arrival rather than have the worker buffer the stream, and a
-        block of an unknown event type."""
+        arrival rather than have the worker buffer the stream, a
+        block of an unknown event type, and a row naming a stack the
+        stream never defined."""
         huge = bytearray([codec._TAG_STRING])
         codec._write_varint(huge, 2**40)
         unknown_type = bytes([codec._TAG_BLOCK, 255, 0, 1])
+        lock = EVENT_TYPES.index(LockAcquire)
+        seq = codec._FLAG_SEQ_STEP
+        undefined_stack = bytes([codec._TAG_BLOCK, lock, seq, 1, 0]) + (
+            codec._ROW_STRUCTS[lock][seq].pack(0, 99, 7, 0, 0)
+        )
         corrupt = [
             (b"NOPE this is not RPTR at all", "bad magic"),
             (codec.MAGIC + huge, "record limit"),
             (codec.MAGIC + unknown_type, "corrupt trace"),
+            (codec.MAGIC + undefined_stack, "corrupt trace"),
         ]
         for payload, reason in corrupt:
             with AnalysisClient(socket_path=unix_server.address) as client:

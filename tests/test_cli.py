@@ -217,6 +217,24 @@ class TestCli:
         assert "shards auto:" in out  # the decision is always logged
         assert replayed.read_bytes() == live.read_bytes()
 
+    def test_corrupt_trace_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        """A trace the codec rejects ends ``trace replay`` (sequential
+        and sharded) and ``trace stat`` with one stderr line and exit
+        status 2."""
+        trace = tmp_path / "t1.rptr"
+        assert main(["trace", "record", "T1", "-o", str(trace)]) == 0
+        with open(trace, "ab") as fh:
+            fh.write(b"\x09")  # no record has tag 9
+        capsys.readouterr()
+        for argv in (
+            ["trace", "replay", str(trace)],
+            ["trace", "replay", str(trace), "--shards", "2"],
+            ["trace", "stat", str(trace)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error: corrupt trace: unknown record tag 9\n", argv
+
     def test_trace_replay_shards_rejects_garbage(self, capsys):
         with pytest.raises(SystemExit):
             main(["trace", "replay", "x.rptr", "--shards", "many"])
