@@ -49,8 +49,10 @@ __all__ = [
     "profiles",
 ]
 
-#: Pickle payload version for :meth:`Session.snapshot`.
-SNAPSHOT_VERSION = 1
+#: Pickle payload version for :meth:`Session.snapshot`.  Version 2:
+#: call-stack frames are tuples and reports remember which suppression
+#: entry decided each suppressed location.
+SNAPSHOT_VERSION = 2
 
 def _case_by_id(case_id: str):
     """Resolve a case id across the evaluation and predictive suites."""
@@ -283,12 +285,18 @@ class Session:
 
         ``extra_hooks`` are re-attached by the caller (hooks are not
         checkpointed — a recorder's open file handle cannot travel).
+        A blob that does not unpickle — truncated, or written by an
+        older layout — raises ``ValueError``, as a wrong version does.
         """
-        payload = pickle.loads(blob)
-        if payload.get("version") != SNAPSHOT_VERSION:
+        try:
+            payload = pickle.loads(blob)
+        except Exception as exc:
             raise ValueError(
-                f"unsupported session snapshot version {payload.get('version')!r}"
-            )
+                f"unsupported session snapshot: {type(exc).__name__}: {exc}"
+            ) from exc
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != SNAPSHOT_VERSION:
+            raise ValueError(f"unsupported session snapshot version {version!r}")
         session = cls.__new__(cls)
         config = payload["config_name"] or payload["config"]
         session.pipeline = Pipeline(

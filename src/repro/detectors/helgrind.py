@@ -476,8 +476,8 @@ class HelgrindDetector(EventDispatcher):
         ``access_check``, so the state evolution is exactly the
         sequential one.  Within one block there are no lock, segment or
         client-request events (blocks are single-type), so per-thread
-        held-set ids and owner tokens are loop constants, cached by
-        ``(tid, kind, bus)`` / ``tid``.
+        held-set ids and owner tokens are loop constants, cached per
+        ``tid`` (held-set ids indexed further by kind and bus).
         """
         machine = self.machine
         memo = machine._memo
@@ -489,7 +489,8 @@ class HelgrindDetector(EventDispatcher):
         segment_transfer = machine.segment_transfer
         access_check = machine.access_check
         report_race = self._report_race
-        ids_cache: dict[int, tuple[int, int]] = {}
+        # tid -> [kind][bus] -> (any_id, write_id), filled lazily.
+        ids_cache: dict[int, list[list[tuple[int, int] | None]]] = {}
         owner_cache: dict[int, int] = {}
         if base is None:
             ti, si, ai, ki, bi = 1, 2, 3, 4, 5
@@ -512,11 +513,15 @@ class HelgrindDetector(EventDispatcher):
                     and kind == p_kind and bus == p_bus:
                 elided += 1
                 continue
-            ik = (tid << 2) | (kind << 1) | bus
-            pair = ids_cache.get(ik)
+            pairs = ids_cache.get(tid)
+            if pairs is None:
+                pairs = ids_cache[tid] = [[None, None], [None, None]]
+            # Indexed by the raw bytes: a kind or bus above 1 raises
+            # IndexError, and the dispatch step names the corrupt row.
+            pair = pairs[kind][bus]
             if pair is None:
                 pair = self._effective_ids(self._held_for(tid), kind == 1, bus)
-                ids_cache[ik] = pair
+                pairs[kind][bus] = pair
             outcome = None
             page = pages.get(addr >> _PAGE_BITS)
             if page is None:
@@ -604,6 +609,11 @@ class HelgrindDetector(EventDispatcher):
         return held.any_bus_id, held.write_id
 
     def _report_race(self, event: MemoryAccess, outcome, vm) -> None:
+        """Report one dynamic race; a repeat of a decided location is
+        only counted, so the Figure-9 warning is built once per
+        location."""
+        if self.report.repeat(WarningKind.DATA_RACE, event.stack, event.addr):
+            return
         verb = "writing" if event.is_write else "reading"
         details = {
             "Previous state": _describe_state(

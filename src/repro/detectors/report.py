@@ -4,9 +4,16 @@ Helgrind prints one multi-line warning per *dynamic* detection, but the
 paper's metric (Figure 6) is the number of **reported locations**: the
 distinct program points warnings point at ("483 reported possible data
 race locations").  :class:`Report` therefore deduplicates warnings by
-(kind, innermost frame) while still counting dynamic occurrences, and
+:func:`location_key` while still counting dynamic occurrences, and
 :meth:`Warning_.format` renders the Figure-9 style text block for human
 consumption.
+
+Each location is decided once, on its first occurrence: reported, or
+suppressed by one suppression entry.  Like Valgrind's error manager
+(``VG_(maybe_record_error)`` only bumps the count of an error it already
+holds), every later occurrence is :meth:`Report.repeat` — one dict probe
+that counts it — so a detector can skip building a warning it would
+only discard.
 
 The structured read side: :meth:`Report.findings` views every warning
 as a :class:`Finding` (``kind`` ∈ ``race`` | ``deadlock`` |
@@ -20,8 +27,12 @@ schema-validated machine twin (:func:`validate_report_json`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.runtime.events import CallStack, Frame
+
+if TYPE_CHECKING:
+    from repro.detectors.suppressions import SuppressionEntry
 
 __all__ = [
     "Finding",
@@ -29,6 +40,7 @@ __all__ = [
     "Report",
     "Warning_",
     "WarningKind",
+    "location_key",
     "validate_report_json",
 ]
 
@@ -60,6 +72,21 @@ _FINDING_KINDS = {
 }
 
 
+def location_key(kind: str, stack: CallStack, addr: int | None) -> tuple:
+    """Deduplication key: same kind at the same program point.
+
+    Valgrind deduplicates by the *full* call stack, so two warnings at
+    the same innermost function reached through different call paths
+    count as two locations — that is what lets the paper's location
+    counts reach the hundreds on a large application.
+    """
+    if not stack:
+        # No symbol information: fall back to the address, the best
+        # Helgrind itself can do without debug symbols (§3.2).
+        return (kind, ("<unknown>", addr))
+    return (kind, stack)
+
+
 @dataclass(slots=True)
 class Warning_:
     """One detector warning (named with a trailing underscore to avoid
@@ -85,18 +112,8 @@ class Warning_:
 
     @property
     def location_key(self) -> tuple:
-        """Deduplication key: same kind at the same program point.
-
-        Valgrind deduplicates by the *full* call stack, so two warnings
-        at the same innermost function reached through different call
-        paths count as two locations — that is what lets the paper's
-        location counts reach the hundreds on a large application.
-        """
-        if not self.stack:
-            # No symbol information: fall back to the address, the best
-            # Helgrind itself can do without debug symbols (§3.2).
-            return (self.kind, ("<unknown>", self.addr))
-        return (self.kind, self.stack)
+        """Deduplication key (see :func:`location_key`)."""
+        return location_key(self.kind, self.stack, self.addr)
 
     def format(self) -> str:
         """Render a Valgrind-style multi-line warning block (cf. Fig 9)."""
@@ -141,26 +158,48 @@ class Report:
     """Aggregates warnings, deduplicating by location.
 
     ``suppressions`` (a :class:`repro.detectors.suppressions.Suppressions`)
-    is consulted at :meth:`add` time, matching how Helgrind's
-    suppression files filter warnings before they reach the log.
+    is consulted when :meth:`add` first sees a location, matching how
+    Helgrind's suppression files filter warnings before they reach the
+    log.  A match depends only on the kind and the stack, which the
+    location key holds, so one match decides every later occurrence.
     """
 
     def __init__(self, suppressions=None) -> None:
         self.warnings: list[Warning_] = []
         self._by_location: dict[tuple, Warning_] = {}
         self.occurrences: dict[tuple, int] = {}
+        #: Suppressed location → the entry that suppressed it.
+        self._suppressed_by: dict[tuple, SuppressionEntry] = {}
         self.suppressed_count = 0
         self.suppressions = suppressions
 
+    def repeat(self, kind: str, stack: CallStack, addr: int | None) -> bool:
+        """Count one more occurrence of an already-decided location;
+        True if it counted one (the caller then builds no warning)."""
+        key = location_key(kind, stack, addr)
+        count = self.occurrences.get(key)
+        if count is not None:
+            self.occurrences[key] = count + 1
+            return True
+        entry = self._suppressed_by.get(key)
+        if entry is None:
+            return False
+        self.suppressed_count += 1
+        entry.hits += 1
+        return True
+
     def add(self, warning: Warning_) -> bool:
         """Record ``warning``; True if it is a *new* location."""
-        if self.suppressions is not None and self.suppressions.matches(warning):
-            self.suppressed_count += 1
+        if self.repeat(warning.kind, warning.stack, warning.addr):
             return False
         key = warning.location_key
-        self.occurrences[key] = self.occurrences.get(key, 0) + 1
-        if key in self._by_location:
-            return False
+        if self.suppressions is not None:
+            entry = self.suppressions.matches(warning)
+            if entry is not None:
+                self._suppressed_by[key] = entry
+                self.suppressed_count += 1
+                return False
+        self.occurrences[key] = 1
         self._by_location[key] = warning
         self.warnings.append(warning)
         return True

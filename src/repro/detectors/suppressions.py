@@ -134,13 +134,14 @@ class Suppressions:
     # Matching
     # ------------------------------------------------------------------
 
-    def matches(self, warning) -> bool:
-        """True if any entry suppresses ``warning`` (records the hit)."""
+    def matches(self, warning) -> SuppressionEntry | None:
+        """The first entry that suppresses ``warning`` (its hit is
+        recorded), or ``None``."""
         for entry in self.entries:
             if entry.matches(warning):
                 entry.hits += 1
-                return True
-        return False
+                return entry
+        return None
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -544,10 +544,12 @@ def _make_block_loop(cls, *, seq: bool):
     attributes in the for-statement target* — Python allows attribute
     references as unpack targets — so the hot loop has no per-row
     function call, no row tuple, and no subscript chain.  Only
-    table-indexed fields (stack, strings, enums) take one temp + one
-    indexed store each.  The ``seq`` variant decodes SEQ_STEP blocks:
-    rows have no step column, ``fly.step`` comes from a local counter
-    seeded with the block's base step.
+    table-indexed fields (stack, strings, enums, bools) take one temp +
+    one indexed store each, so a byte out of a table's range raises
+    ``IndexError`` here as it does in the fill functions.  The ``seq``
+    variant decodes SEQ_STEP blocks: rows have no step column,
+    ``fly.step`` comes from a local counter seeded with the block's
+    base step.
     """
     targets = [] if seq else ["fly.step"]
     targets += ["fly.tid", "_s"]
@@ -556,14 +558,13 @@ def _make_block_loop(cls, *, seq: bool):
         body.insert(0, "        fly.step = step")
         body.insert(1, "        step += 1")
     for name, code in _SPECS[cls]:
-        if code in ("i", "q", "B"):
-            # Bool-coded fields stay raw 0/1 ints on the flyweight: every
-            # consumer treats them as truth flags, and skipping the
-            # ``_BOOLS`` lookup keeps the fill at a bare store.
+        if code in ("i", "q"):
             targets.append(f"fly.{name}")
         else:
             targets.append(f"_{name}")
-            table = {"kind": "_KINDS", "mode": "_MODES", "str": "strings"}[code]
+            table = {
+                "B": "_BOOLS", "kind": "_KINDS", "mode": "_MODES", "str": "strings",
+            }[code]
             body.append(f"        fly.{name} = {table}[_{name}]")
     target = ", ".join(targets)
     return _codegen([

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 __all__ = [
     "AccessKind",
@@ -83,9 +84,13 @@ class LockMode(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    """One guest call-stack frame: ``function`` at ``file:line``."""
+class Frame(NamedTuple):
+    """One guest call-stack frame: ``function`` at ``file:line``.
+
+    A tuple, so hashing and comparing a call stack (interning, codec
+    tables, report deduplication) runs in C; its hash equals that of
+    the plain ``(function, file, line)`` tuple.
+    """
 
     function: str
     file: str = "<guest>"

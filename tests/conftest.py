@@ -30,3 +30,12 @@ def record_trace(program, *args, scheduler=None):
 def vm():
     """A fresh VM with the default round-robin scheduler."""
     return VM()
+
+
+#: ``pickle.dumps(Frame("f", "x.cc", 3))`` as written when ``Frame`` was
+#: a slotted dataclass (session snapshot version 1); it no longer loads.
+DATACLASS_FRAME_PICKLE = (
+    b"\x80\x04\x957\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.runtime.events"
+    b"\x94\x8c\x05Frame\x94\x93\x94)\x81\x94]\x94(\x8c\x01f\x94\x8c\x04x.cc"
+    b"\x94K\x03eb."
+)

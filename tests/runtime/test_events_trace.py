@@ -48,6 +48,44 @@ class TestEventModel:
             e.addr = 2  # type: ignore[misc]
 
 
+class TestFrame:
+    """Frames are tuples: stacks hash and compare in C, with the hash,
+    text and pickle of the frame they replaced."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        assert hash(Frame("f", "x.cpp", 3)) == hash(("f", "x.cpp", 3))
+        assert hash(Frame("g")) == hash(("g", "<guest>", 0))
+
+    def test_str_and_repr(self):
+        frame = Frame("f", "x.cpp", 3)
+        assert str(frame) == "f (x.cpp:3)"
+        assert repr(frame) == "Frame(function='f', file='x.cpp', line=3)"
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        frame = Frame("f", "x.cpp", 3)
+        back = pickle.loads(pickle.dumps(frame))
+        assert back == frame
+        assert type(back) is Frame
+
+    def test_live_and_decoded_stacks_intern_to_one_object(self, tmp_path):
+        from repro.experiments.harness import run_proxy_case
+        from repro.runtime import codec
+        from repro.sip.workload import evaluation_cases
+
+        case = next(c for c in evaluation_cases() if c.case_id == "T1")
+        path = tmp_path / "t1.rptr"
+        live = TraceRecorder()
+        with TraceRecorder(path, format="binary") as recorder:
+            run_proxy_case(case, "hwlc+dr", seed=42, extra_hooks=(live, recorder))
+        decoded = list(codec.events_from_bytes(path.read_bytes()))
+        assert len(decoded) == len(live.events)
+        assert any(event.stack for event in live.events)
+        for got, want in zip(decoded, live.events):
+            assert got.stack is want.stack
+
+
 class TestSerialisation:
     def test_roundtrip_memory_access(self):
         e = MemoryAccess(

@@ -38,7 +38,7 @@ from repro.api import Session
 from repro.api.profiles import profile
 from repro.runtime import codec
 from repro.runtime.codec import StreamDecoder, TraceWriter
-from repro.runtime.events import EVENT_TYPES, LockAcquire, MemAlloc
+from repro.runtime.events import EVENT_TYPES, LockAcquire, MemAlloc, MemoryAccess
 from repro.runtime.trace import replay_trace
 
 
@@ -162,7 +162,8 @@ def _one_block(cls, *rows: tuple) -> bytes:
 
 
 #: ``(trace, expected message)``; LockAcquire rows are
-#: ``(tid, stack, lock_id, mode, contended)``.
+#: ``(tid, stack, lock_id, mode, contended)``, MemoryAccess rows
+#: ``(tid, stack, addr, kind, bus_locked, block_id)``.
 BAD_ROWS = {
     "undefined-stack": (
         _one_block(LockAcquire, (0, 0, 7, 0, 0), (0, 99, 7, 0, 0)),
@@ -172,6 +173,14 @@ BAD_ROWS = {
     "undefined-string": (
         _one_block(MemAlloc, (0, 0, 64, 8, 1, 5)),  # tag names string 5
         "row 0 of a MemAlloc block",
+    ),
+    "kind-2": (
+        _one_block(MemoryAccess, (0, 0, 64, 0, 0, -1), (0, 0, 64, 2, 0, -1)),
+        "row 1 of a MemoryAccess block",
+    ),
+    "bus-2": (
+        _one_block(MemoryAccess, (0, 0, 64, 0, 0, -1), (0, 0, 64, 0, 2, -1)),
+        "row 1 of a MemoryAccess block",
     ),
 }
 
@@ -190,7 +199,7 @@ def test_corrupt_row_is_a_typed_error(reader, row):
         READERS[reader](data)
 
 
-@pytest.mark.parametrize("row", ["undefined-stack", "mode-7"])
+@pytest.mark.parametrize("row", ["undefined-stack", "mode-7", "kind-2", "bus-2"])
 def test_corrupt_row_fails_a_session(row):
     data, message = BAD_ROWS[row]
     with pytest.raises(ValueError, match=f"corrupt trace: {message}"):

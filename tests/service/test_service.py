@@ -368,6 +368,33 @@ class TestKillAndResume:
         finally:
             server.shutdown(drain=True, timeout=10.0)
 
+    def test_unloadable_checkpoint_is_an_error_frame(self, tmp_path, traces):
+        """A checkpoint whose snapshot no longer unpickles — a frame
+        pickled before frames became tuples — fails the resume with an
+        ERROR frame, and the server goes on serving fresh sessions."""
+        from repro.service import Checkpoint
+        from tests.conftest import DATACLASS_FRAME_PICKLE
+
+        path, reference = traces[("T1", "hwlc+dr")]
+        ckpt_dir = tmp_path / "ck"
+        CheckpointStore(ckpt_dir).save(
+            Checkpoint("s0042", "hwlc+dr", 0, 0, DATACLASS_FRAME_PICKLE)
+        )
+        server = AnalysisServer(
+            socket_path=str(tmp_path / "a.sock"),
+            workers=1,
+            checkpoint_dir=str(ckpt_dir),
+        )
+        server.start()
+        try:
+            with AnalysisClient(socket_path=server.address) as client:
+                with pytest.raises(ServiceError) as exc:
+                    client.hello(session="s0042")
+            assert "unsupported session snapshot" in str(exc.value)
+            assert fetch_report(path, socket_path=server.address) == reference
+        finally:
+            server.shutdown(drain=True, timeout=10.0)
+
 
 class TestBackpressure:
     def test_queue_bound_and_stalls(self, traces):

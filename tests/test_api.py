@@ -315,6 +315,20 @@ sys.stdout.write(session.report_text())
         with pytest.raises(ValueError):
             Session.restore(blob)
 
+    def test_restore_rejects_a_truncated_blob(self, t1_trace):
+        path, _ = t1_trace
+        session = Session("hwlc+dr")
+        session.feed(path.read_bytes())
+        blob = session.snapshot()
+        with pytest.raises(ValueError, match="unsupported session snapshot"):
+            Session.restore(blob[: len(blob) // 2])
+
+    def test_restore_rejects_dataclass_frames(self):
+        from tests.conftest import DATACLASS_FRAME_PICKLE
+
+        with pytest.raises(ValueError, match="unsupported session snapshot"):
+            Session.restore(DATACLASS_FRAME_PICKLE)
+
     def test_feed_events_matches_byte_feed(self, t1_trace):
         from repro.runtime.trace import load_trace
 
@@ -336,7 +350,7 @@ class TestPackageExports:
     def test_root_reexports(self):
         assert repro.Session is Session
         assert repro.Pipeline is Pipeline
-        assert repro.api.SNAPSHOT_VERSION == 1
+        assert repro.api.SNAPSHOT_VERSION == 2
 
     def test_all_names_resolve(self):
         for name in ("Pipeline", "Session", "api"):
