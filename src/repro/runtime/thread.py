@@ -13,13 +13,14 @@ paper §3.3).
 from __future__ import annotations
 
 import enum
+import os
 import threading
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.runtime.events import CallStack
 
-__all__ = ["ThreadState", "SimThread"]
+__all__ = ["ThreadState", "SimThread", "Baton"]
 
 
 class ThreadState(enum.Enum):
@@ -35,6 +36,56 @@ class ThreadState(enum.Enum):
     FINISHED = "finished"
     #: Start routine raised (guest fault or Python error).
     FAULTED = "faulted"
+
+
+class Baton:
+    """A carrier's turn to run: one pipe, one byte per hand-off.
+
+    The owner parks in :meth:`wait`, an ``os.read`` of one byte from its
+    pipe; whoever hands it control calls :meth:`release`, an
+    ``os.write`` of one byte to that pipe.  Both calls drop the GIL
+    before the system call, so the woken carrier finds the GIL free
+    instead of waking only to sleep on it.
+
+    ``released`` keeps a broken hand-off loud.  :meth:`release` sets it,
+    and a second release before the owner next gives control away raises
+    ``RuntimeError`` at the releaser (a pipe would queue the byte and
+    later wake a carrier while another one runs).  Parking does not
+    clear it: the waker can be preempted between its write and its own
+    park while the woken owner hands control straight back.  The owner
+    clears it in :meth:`hand_to`, just before its own hand-off write.
+    Only an aborting VM writes past it, with :meth:`wake`.
+    """
+
+    __slots__ = ("_read", "_write", "released")
+
+    def __init__(self) -> None:
+        self._read, self._write = os.pipe()
+        self.released = False
+
+    def release(self) -> None:
+        """Give control to this baton's owner."""
+        if self.released:
+            raise RuntimeError("baton released twice before its owner handed control on")
+        self.released = True
+        os.write(self._write, b"\0")
+
+    def hand_to(self, other: "Baton") -> None:
+        """The owner gives control away, to ``other``'s owner."""
+        self.released = False
+        other.release()
+
+    def wake(self) -> None:
+        """Wake the owner to unwind an aborted run, release pending or not."""
+        os.write(self._write, b"\0")
+
+    def wait(self) -> None:
+        """Park the owner until a release or a wake reaches it."""
+        os.read(self._read, 1)
+
+    def close(self) -> None:
+        os.close(self._read)
+        os.close(self._write)
 
 
 class SimThread:
@@ -77,12 +128,14 @@ class SimThread:
 
         # --- carrier plumbing (owned by the VM) -----------------------
         self.carrier: threading.Thread | None = None
-        #: This carrier's baton: locked from birth, and locked again by
-        #: the carrier itself each time it wakes.  The carrier parks in
-        #: ``acquire()``; whoever hands it control calls ``release()``
-        #: exactly once.
-        self.resume = threading.Lock()
-        self.resume.acquire()
+        #: This carrier's baton, made by the VM with the thread.  The
+        #: carrier parks in ``resume.wait()``; whoever hands it control
+        #: calls ``resume.release()`` exactly once, and the carrier
+        #: closes the pipe as it exits.
+        self.resume: Baton | None = None
+        #: Set by the carrier once it will write to no baton again; an
+        #: aborting VM wakes every carrier not yet retired.
+        self.retired = False
 
     # ------------------------------------------------------------------
 

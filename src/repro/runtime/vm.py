@@ -12,10 +12,12 @@ Execution model
   locks, threads, client requests — goes through the API.
 * Each guest thread runs on its own host ``threading.Thread`` (the
   *carrier*), but a baton protocol guarantees **exactly one carrier
-  executes at any instant**.  Every carrier owns a ``threading.Lock``
-  baton that stays locked while the carrier is parked in ``acquire()``;
-  handing control to another carrier is one ``release()`` of its baton
-  followed by an ``acquire()`` of one's own.  The host GIL therefore
+  executes at any instant**.  Every carrier owns a pipe-backed
+  :class:`~repro.runtime.thread.Baton` and parks in an ``os.read`` of
+  it; handing control to another carrier is one ``os.write`` of a byte
+  to its baton followed by a read of one's own.  Both calls drop the
+  GIL before the system call, so the woken carrier runs at once instead
+  of waiting for the waker to let the GIL go.  The host GIL therefore
   never influences interleaving; only the scheduler does.  This is the
   same arrangement as Valgrind's single-threaded core (paper §3.3: "the
   virtual machine in itself is single-threaded. Hence, adding more
@@ -81,7 +83,7 @@ from repro.runtime.sync import (
     SimSemaphore,
     _Waitable,
 )
-from repro.runtime.thread import SimThread, ThreadState
+from repro.runtime.thread import Baton, SimThread, ThreadState
 
 __all__ = ["VM", "GuestAPI", "VMStats"]
 
@@ -119,11 +121,6 @@ class VMStats:
         self.switches = 0
         self.threads_created = 0
         self.max_live_threads = 0
-
-    def count(self, event: Event) -> None:
-        cls = event.__class__
-        by_type = self._by_type
-        by_type[cls] = by_type.get(cls, 0) + 1
 
     @property
     def events(self) -> dict[str, int]:
@@ -195,11 +192,14 @@ class VM:
         self._queue_ids = IdAllocator()
 
         #: The quiescence loop's baton, the same protocol as a carrier's
-        #: ``SimThread.resume``: locked while the loop waits in
-        #: ``acquire()``, released once by the carrier that hands it
-        #: control.
-        self._control = threading.Lock()
-        self._control.acquire()
+        #: ``SimThread.resume``: the loop parks in ``_control.wait()``
+        #: and the carrier that hands it control releases it once.
+        #: :meth:`run` opens it and closes it.
+        self._control: Baton | None = None
+        #: Guards the abort's teardown: carriers retiring while the VM
+        #: aborts wait here until every carrier has retired.
+        self._teardown = threading.Condition()
+        self._torn_down = False
         #: Index of currently-runnable threads (tid -> thread).  The
         #: scheduler loop and the _switch fast path consult this instead
         #: of scanning every thread ever created — on a server workload
@@ -241,17 +241,25 @@ class VM:
             All live guest threads are blocked.
         StepLimitExceeded
             The event budget ran out.
+
+        Whatever the error, including an interrupt, every carrier has
+        stopped and closed its baton before it leaves ``run``.
         """
         if self._started:
             raise VMError("a VM instance can only run once")
         self._started = True
-        main_thread = self._make_thread(main, args, name=main_name, parent=None)
-        self._set_runnable(main_thread)
-        self._start_carrier(main_thread)
+        self._control = Baton()
         try:
+            main_thread = self._make_thread(main, args, name=main_name, parent=None)
+            self._set_runnable(main_thread)
+            self._start_carrier(main_thread)
             self._scheduler_loop()
+        except BaseException:
+            self._abort_carriers()
+            raise
         finally:
             self._reap_carriers()
+            self._control.close()
         self._finished = True
         if main_thread.error is not None:  # pragma: no cover - re-raise path
             raise main_thread.error
@@ -260,9 +268,6 @@ class VM:
     @property
     def finished(self) -> bool:
         return self._finished
-
-    def live_threads(self) -> list[SimThread]:
-        return [t for t in self.threads.values() if t.alive]
 
     # ------------------------------------------------------------------
     # Event emission
@@ -278,7 +283,7 @@ class VM:
         """
         self.clock += 1
         etype = event.__class__
-        # Inlined VMStats.count — one dict op on the per-event path.
+        # Count by event class: one dict op on the per-event path.
         by_type = self.stats._by_type
         by_type[etype] = by_type.get(etype, 0) + 1
         handlers = self._dispatch.get(etype)
@@ -319,29 +324,28 @@ class VM:
     def _scheduler_loop(self) -> None:
         """Quiescence handler.
 
-        Carriers hand control *directly* to each other (one baton
-        release and one acquire per switch); this host-side loop only
-        runs when the guest world goes quiet — at start, when the last
-        runnable thread blocked or finished, and when a carrier reports
-        an error — so it can dispatch, detect deadlock, or propagate the
-        failure.
+        Carriers hand control *directly* to each other (one pipe write
+        to the chosen carrier's baton and one read of one's own per
+        switch); this host-side loop only runs when the guest world goes
+        quiet — at start, when the last runnable thread blocked or
+        finished, and when a carrier reports an error — so it can
+        dispatch, detect deadlock, or propagate the failure.  Whatever
+        escapes it, :meth:`run` aborts the carriers before re-raising.
         """
         while True:
             if self._pending_error is not None:
                 error = self._pending_error
                 self._pending_error = None
-                self._abort_carriers()
                 raise error
             if not self._runnable:
                 blocked = [t for t in self.threads.values() if t.state is ThreadState.BLOCKED]
                 if blocked:
-                    self._abort_carriers()
                     raise DeadlockError([(t.tid, t.blocked_on) for t in blocked])
                 return  # all threads finished
             chosen = self._choose(None)
             self.stats.switches += 1
-            chosen.resume.release()
-            self._control.acquire()
+            self._control.hand_to(chosen.resume)
+            self._control.wait()
 
     def _choose(self, current: SimThread | None) -> SimThread:
         """Consult the scheduling policy over the runnable set."""
@@ -352,16 +356,41 @@ class VM:
         return self.scheduler.pick(run_queue, current)
 
     def _abort_carriers(self) -> None:
-        """Wake every live carrier so it unwinds via :class:`_GuestAbort`.
+        """Stop the guest: every carrier unwinds via :class:`_GuestAbort`.
 
-        Every live carrier is parked on its locked baton (or about to
-        park there), so one ``release()`` each wakes them all.
+        After a guest error or a deadlock every carrier is parked, and
+        one :meth:`Baton.wake` each starts them all unwinding.  After an
+        interrupt one carrier may still be running, mid-hand-off or
+        mid-``spawn``: it stops at its next trap, and a carrier it
+        started meanwhile is woken on a later pass.  Until every carrier
+        has retired, none closes its pipe, so neither these wakes nor
+        that carrier's last hand-off can reach a closed one.
         """
         self._aborting = True
-        for thread in self.threads.values():
-            if thread.alive:
-                thread.resume.release()
-        self._reap_carriers()
+        woken = set()
+        with self._teardown:
+            while True:
+                left = [t for t in list(self.threads.values()) if not t.retired]
+                if not left:
+                    break
+                for thread in left:
+                    if thread.tid not in woken:
+                        woken.add(thread.tid)
+                        thread.resume.wake()
+                self._teardown.wait()
+            self._torn_down = True
+            self._teardown.notify_all()
+
+    def _retire(self, thread: SimThread) -> None:
+        """A carrier's last step: it writes to no baton again, so it
+        closes its own (after the teardown, while the VM aborts)."""
+        # Set before reading _aborting; the abort sets that before reading this.
+        thread.retired = True
+        if self._aborting:
+            with self._teardown:
+                self._teardown.notify_all()
+                self._teardown.wait_for(lambda: self._torn_down)
+        thread.resume.close()
 
     def _reap_carriers(self) -> None:
         for thread in self.threads.values():
@@ -384,6 +413,7 @@ class VM:
             args=args,
             parent_tid=parent,
         )
+        thread.resume = Baton()  # before the thread is known: a failure leaks nothing
         self.threads[tid] = thread
         self.stats.threads_created += 1
         live = sum(1 for t in self.threads.values() if t.alive)
@@ -398,7 +428,12 @@ class VM:
             daemon=True,
         )
         thread.carrier = carrier
-        carrier.start()
+        try:
+            carrier.start()
+        except RuntimeError:  # no carrier: nothing else would retire it
+            thread.retired = True
+            thread.resume.close()
+            raise
 
     def _carrier_main(self, thread: SimThread) -> None:
         api = GuestAPI(self, thread)
@@ -408,25 +443,27 @@ class VM:
             self._set_not_runnable(thread, ThreadState.FINISHED)
             api._emit(ThreadFinish(self.clock, thread.tid, stack=thread.snapshot_stack()))
         except _GuestAbort:
-            return  # VM is tearing down; exit silently, do not touch control
+            pass  # VM is tearing down; exit silently, do not touch control
         except BaseException as exc:  # noqa: BLE001 - any guest failure halts the VM
             self._set_not_runnable(thread, ThreadState.FAULTED)
             thread.error = exc
-            if self._aborting:
-                return  # raised while unwinding: the loop is already tearing down
-            self._pending_error = exc
-            self._wake_joiners(thread)
-            self._control.release()  # the loop aborts every carrier and re-raises
-            return
-        self._wake_joiners(thread)
-        # Hand control onward: directly to a runnable carrier, or to the
-        # quiescence loop if the guest world just went quiet.
-        if self._runnable:
-            chosen = self._choose(None)
-            self.stats.switches += 1
-            chosen.resume.release()
+            if not self._aborting:  # else raised while unwinding: the loop is tearing down
+                self._pending_error = exc
+                self._wake_joiners(thread)
+                # The loop aborts every carrier and re-raises.
+                thread.resume.hand_to(self._control)
         else:
-            self._control.release()
+            self._wake_joiners(thread)
+            # Hand control onward: directly to a runnable carrier, or to the
+            # quiescence loop if the guest world just went quiet.
+            if self._runnable:
+                chosen = self._choose(None)
+                self.stats.switches += 1
+                thread.resume.hand_to(chosen.resume)
+            else:
+                thread.resume.hand_to(self._control)
+        finally:
+            self._retire(thread)
 
     def _wake_joiners(self, thread: SimThread) -> None:
         for waiter in thread.join_waiters:
@@ -435,7 +472,7 @@ class VM:
 
     def _wait_turn(self, thread: SimThread) -> None:
         """Block this carrier until the scheduler picks ``thread``."""
-        thread.resume.acquire()
+        thread.resume.wait()
         if self._aborting:
             raise _GuestAbort()
 
@@ -452,6 +489,8 @@ class VM:
     def _switch(self, thread: SimThread) -> None:
         """Scheduling decision point for a still-runnable thread."""
         self.stats.traps += 1
+        if self._aborting:
+            raise _GuestAbort()  # the run is over: unwind, do not run on
         # Fast path: if no other thread could run, a hand-off would be a
         # no-op round trip through the host scheduler — skip it.  Blocked
         # threads only become runnable through actions of *running*
@@ -462,10 +501,8 @@ class VM:
         chosen = self._choose(thread)
         if chosen is thread:
             return  # the policy kept us running: no host switch at all
-        if self._aborting:
-            raise _GuestAbort()  # unwinding guest code: every baton is spent
         self.stats.switches += 1
-        chosen.resume.release()
+        thread.resume.hand_to(chosen.resume)
         self._wait_turn(thread)
 
     def _park_and_dispatch(self, thread: SimThread) -> None:
@@ -475,13 +512,13 @@ class VM:
         the quiescence loop (which will detect deadlock or completion).
         """
         if self._aborting:
-            raise _GuestAbort()  # unwinding guest code: every baton is spent
+            raise _GuestAbort()  # the run is over: unwind, hand control to no one
         if self._runnable:
             chosen = self._choose(thread)
             self.stats.switches += 1
-            chosen.resume.release()
+            thread.resume.hand_to(chosen.resume)
         else:
-            self._control.release()
+            thread.resume.hand_to(self._control)
         self._wait_turn(thread)
 
     def _block(self, thread: SimThread, reason: str, waitable: _Waitable) -> None:

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import errno
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import DeadlockError, GuestFault, StepLimitExceeded, VMError
 from repro.runtime import VM, FixedOrderScheduler, RandomScheduler, RoundRobinScheduler
 from repro.runtime.events import MemAlloc, MemoryAccess, ThreadCreate, ThreadFinish, ThreadJoin
-from repro.runtime.thread import ThreadState
+from repro.runtime.thread import Baton, ThreadState
 from tests.conftest import record_trace, run_program
+
+
+def _open_fds() -> int | None:
+    """Open file descriptors of this process, or None without ``/proc``."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 class TestBasicExecution:
@@ -256,6 +270,8 @@ class TestThreads:
         assert result == 5
 
     def test_many_threads(self):
+        fds = _open_fds()
+
         def prog(api):
             addr = api.malloc(1)
             api.store(addr, 0)
@@ -275,6 +291,7 @@ class TestThreads:
         assert result == 30
         assert vm.stats.threads_created == 31
         assert vm.stats.max_live_threads >= 2
+        assert _open_fds() == fds  # every carrier closed its baton's pipe
 
 
 class TestLimitsAndDeadlock:
@@ -338,16 +355,19 @@ def _live_carriers() -> list[threading.Thread]:
 
 class TestCarrierTeardown:
     """However a run aborts, ``vm.run`` raises only after every carrier
-    it started has exited.  A parked or not-yet-started carrier waits on
-    its own locked baton; the abort releases each live thread's baton
-    once, and the carrier unwinds from there."""
+    it started has exited and closed its baton's pipe.  A parked or
+    not-yet-started carrier waits in a read of its own pipe; the abort
+    writes one byte to each carrier not yet retired, the carrier unwinds
+    from there, and no pipe is closed before every carrier has retired."""
 
     def _abort(self, prog, error, *, scheduler=None, step_limit=2_000_000):
+        fds = _open_fds()
         vm = VM(scheduler=scheduler or RoundRobinScheduler(), step_limit=step_limit)
         with pytest.raises(error) as exc_info:
             vm.run(prog)
         assert [t.name for t in vm.threads.values() if t.carrier.is_alive()] == []
         assert _live_carriers() == []
+        assert _open_fds() == fds
         return vm, exc_info.value
 
     def test_guest_fault_with_parked_siblings(self):
@@ -444,6 +464,154 @@ class TestCarrierTeardown:
 
         self._abort(prog, GuestFault)
 
+    def test_carrier_that_cannot_start(self, monkeypatch):
+        """A spawn whose host thread cannot start fails the run; the
+        abort does not wait for a carrier that never ran."""
+        started = []
+
+        class Refusing(threading.Thread):
+            def start(self):
+                if len(started) == 2:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Refusing)
+
+        def prog(api):
+            api.spawn(lambda a: a.yield_())
+            api.spawn(lambda a: None)
+
+        vm, err = self._abort(prog, RuntimeError)
+        assert "can't start" in str(err)
+        assert len(vm.threads) == 3
+
+
+#: Shared head of the scripts run in a fresh interpreter: each prints
+#: one JSON line.
+_ISOLATED_PRELUDE = """
+import json, os, resource, signal, sys, threading, time
+from repro.runtime import VM
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+def carriers():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("carrier-") and t.is_alive()]
+"""
+
+_FD_LIMIT_SCRIPT = _ISOLATED_PRELUDE + """
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+shape, n = sys.argv[1], int(sys.argv[2])
+
+def one_after_another(api):
+    for i in range(n):
+        api.join(api.spawn(lambda a, i: i, i))
+    return n
+
+def all_at_once(api):
+    q = api.queue(name="never")
+    workers = [api.spawn(lambda a: a.get(q)) for _ in range(n)]
+    for t in workers:
+        api.join(t)
+
+fds = open_fds()
+vm = VM()
+try:
+    out = {"result": vm.run(one_after_another if shape == "sequential" else all_at_once)}
+except BaseException as exc:
+    cause = exc if isinstance(exc, OSError) else exc.__cause__
+    out = {"raised": type(exc).__name__, "errno": getattr(cause, "errno", None)}
+out.update(threads=len(vm.threads), carriers=carriers(), fds=[fds, open_fds()])
+print(json.dumps(out))
+"""
+
+_INTERRUPT_SCRIPT = _ISOLATED_PRELUDE + """
+spinners = int(sys.argv[1])
+
+def spin(api, addr):
+    while True:
+        api.load(addr)
+
+def prog(api):
+    addr = api.malloc(1)
+    api.store(addr, 0)
+    for _ in range(spinners - 1):
+        api.spawn(spin, addr)
+    spin(api, addr)
+
+fds = open_fds()
+vm = VM(step_limit=10**9)
+main = threading.main_thread().ident
+threading.Timer(0.5, signal.pthread_kill, (main, signal.SIGINT)).start()
+start = time.monotonic()
+try:
+    vm.run(prog)
+    raised = None
+except BaseException as exc:
+    raised = type(exc).__name__
+elapsed = time.monotonic() - start
+clock = vm.clock
+time.sleep(0.5)
+print(json.dumps({
+    "raised": raised, "elapsed": elapsed, "threads": len(vm.threads),
+    "advanced": vm.clock - clock, "carriers": carriers(),
+    "fds": [fds, open_fds()],
+}))
+"""
+
+
+def _run_isolated(script: str, *args) -> dict:
+    """Run ``script`` in a fresh interpreter, bounded to 15 s."""
+    if _open_fds() is None:
+        pytest.skip("needs /proc/self/fd")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, timeout=15,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestCarrierFileDescriptors:
+    """Each carrier closes its baton's pipe as it exits, so a VM's open
+    descriptors follow its live threads, not every thread it ever ran."""
+
+    def test_sequential_threads_fit_a_low_descriptor_limit(self):
+        out = _run_isolated(_FD_LIMIT_SCRIPT, "sequential", 300)
+        assert out["result"] == 300
+        assert out["threads"] == 301
+        assert out["carriers"] == []
+        assert out["fds"][0] == out["fds"][1]
+
+    def test_too_many_live_threads_fail_the_run_cleanly(self):
+        out = _run_isolated(_FD_LIMIT_SCRIPT, "concurrent", 40)
+        assert out["raised"] in ("OSError", "VMError")
+        assert out["errno"] == errno.EMFILE
+        assert 1 < out["threads"] <= 40
+        assert out["carriers"] == []
+        assert out["fds"][0] == out["fds"][1]
+
+
+class TestInterruptedRun:
+    """An interrupt that reaches ``vm.run`` stops the guest: every
+    carrier unwinds and closes its pipe before the interrupt leaves
+    ``run``, and the guest clock stops.  Run in a fresh interpreter, so
+    a stray ``KeyboardInterrupt`` cannot end the test session."""
+
+    @pytest.mark.parametrize("spinners", [1, 4])
+    def test_interrupt_stops_every_carrier(self, spinners):
+        out = _run_isolated(_INTERRUPT_SCRIPT, spinners)
+        assert out["raised"] == "KeyboardInterrupt"
+        assert out["elapsed"] < 2.0
+        assert out["threads"] == spinners
+        assert out["advanced"] == 0
+        assert out["carriers"] == []
+        assert out["fds"][0] == out["fds"][1]
+
 
 class TestBatonHandOff:
     def test_no_lost_host_update_under_preemption_pressure(self):
@@ -488,6 +656,37 @@ class TestBatonHandOff:
         assert box[0] == 8 * rounds
         assert vm.stats.switches > 8 * rounds
         assert _live_carriers() == []
+
+    def test_second_release_raises_until_the_owner_hands_on(self):
+        """A pipe would queue a second byte and later wake its owner
+        while another carrier runs, so the baton refuses it instead:
+        parking does not clear the release, only the owner's own
+        hand-off does."""
+        owner, other = Baton(), Baton()
+        try:
+            owner.release()
+            with pytest.raises(RuntimeError, match="released twice"):
+                owner.release()
+            owner.wait()  # the owner wakes and runs ...
+            with pytest.raises(RuntimeError, match="released twice"):
+                owner.release()  # ... and still holds that release
+            owner.hand_to(other)
+            assert other.released and not owner.released
+            owner.release()  # control may come straight back
+            owner.wait()
+        finally:
+            owner.close()
+            other.close()
+
+    def test_abort_wakes_past_a_pending_release(self):
+        baton = Baton()
+        try:
+            baton.release()
+            baton.wake()
+            baton.wait()
+            baton.wait()  # two bytes: the release and the wake
+        finally:
+            baton.close()
 
 
 class TestStats:
