@@ -2,14 +2,16 @@
 
 The sharding PR's claim: per-session lock-set analysis is
 shared-nothing, so routing sessions to worker *processes* scales
-aggregate events/s with cores, where the single-process thread pool
-tops out near one core no matter how many clients connect.
+aggregate events/s with cores, where one process's thread pool tops
+out near one core no matter how many clients connect.
 
 The measurement streams M concurrent sessions (T1–T3, each twice)
 into the service and divides the total decoded event count by the
 wall-clock of the slowest session, for:
 
-* the single-process server (the pre-PR shape, `--single-process`);
+* the base: an in-process ``AnalysisServer`` with two analysis
+  threads, the shape each shard worker runs (reported under the
+  ``single_process`` key);
 * the sharded server at ``--workers`` 1, 2 and 4.
 
 Every report is asserted byte-identical to its offline twin before

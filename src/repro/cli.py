@@ -170,12 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="hwlc+dr",
         choices=config_choices,
     )
-    tp.add_argument("-o", "--output", required=True, help="trace file path")
     tp.add_argument(
-        "--format",
-        choices=("binary", "jsonl"),
-        default=None,
-        help="trace encoding (default: by suffix — .bin/.rptr = binary)",
+        "-o", "--output", required=True, help="trace file path (RPTR binary)"
     )
     tp.add_argument("--seed", type=int, default=42)
     tp.add_argument(
@@ -259,14 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analysis threads inside each worker process",
     )
     p.add_argument(
-        "--single-process",
-        action="store_true",
-        help=(
-            "run the whole service in this process (no acceptor/worker "
-            "split; --threads sizes the one thread pool)"
-        ),
-    )
-    p.add_argument(
         "--queue-blocks",
         type=int,
         default=8,
@@ -330,28 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "each worker writes a Chrome trace here at shutdown "
             "(combine with `repro trace merge`)"
-        ),
-    )
-    p.add_argument(
-        "--finish-shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "opt-in FINISH-time post-pass: spool each session's bytes, "
-            "re-analyze the trace sharded across N processes and verify "
-            "byte-identity against the streaming report "
-            "(repro_service_shard_verify_total; default: off)"
-        ),
-    )
-    p.add_argument(
-        "--finish-predict",
-        action="store_true",
-        help=(
-            "opt-in FINISH-time predictive post-pass: spool each "
-            "session's bytes and re-analyze the trace under the "
-            "'predictive' profile, appending predicted findings to the "
-            "session's report (default: off)"
         ),
     )
     _add_cache_flag(p)
@@ -419,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "show each worker process's unmerged snapshot next to the "
-            "merged view (sharded servers; single-process shows one)"
+            "merged view"
         ),
     )
     _conn_flags(cp, data=False)
@@ -789,7 +755,7 @@ def _cmd_trace_record(args) -> int:
 
     case = _case_by_id(args.case_id)
     det = profile(args.config).detector()
-    with TraceRecorder(args.output, format=args.format) as recorder:
+    with TraceRecorder(args.output) as recorder:
         run = run_proxy_case(
             case, args.config, seed=args.seed,
             detector=det, extra_hooks=(recorder,),
@@ -797,7 +763,7 @@ def _cmd_trace_record(args) -> int:
     print(
         f"recorded {len(recorder)} events from {case.case_id} under "
         f"{args.config} to {args.output} "
-        f"({recorder.format or 'jsonl'}, {recorder.bytes_written} bytes, "
+        f"({recorder.bytes_written} bytes, "
         f"{recorder.bytes_written / max(len(recorder), 1):.1f} B/event)"
     )
     print(
@@ -829,12 +795,6 @@ def _auto_shards(trace_file) -> int:
         print(
             "shards auto: 1 (single-core host; sharding would only add "
             "fork+merge overhead)"
-        )
-        return 1
-    if not codec.is_binary_trace(trace_file):
-        print(
-            "shards auto: 1 (JSON-lines trace; sharded replay needs the "
-            "binary codec)"
         )
         return 1
     hist = codec.page_histogram(Path(trace_file).read_bytes())
@@ -937,46 +897,27 @@ def _cmd_trace_stat(args) -> int:
     """Summarise a trace file (size, event mix, interning tables)."""
     from repro.runtime import codec
 
-    if codec.is_binary_trace(args.trace_file):
-        stats = codec.trace_stats(args.trace_file)
-        print(f"{stats['path']}: binary (RPTR v1)")
-        print(
-            f"  {stats['events']} events, {stats['file_bytes']} bytes "
-            f"({stats['bytes_per_event']:.1f} B/event)"
-        )
-        print(
-            f"  tables: {stats['strings']} strings, {stats['stacks']} stacks"
-        )
-        for name, n in stats["by_type"].items():
-            print(f"  {n:8d}  {name}")
-        from pathlib import Path as _Path
-
-        hist = codec.page_histogram(_Path(args.trace_file).read_bytes())
-        print(
-            f"  pages: {hist['pages']} distinct shadow pages, "
-            f"{hist['accesses']} accesses, skew {hist['skew']:.2f} "
-            f"(1.00 = uniform; high skew shards poorly)"
-        )
-        for page, n in hist["top"][:5]:
-            print(f"  {n:8d}  page {page:#x}")
-        return 0
-    import os
-
-    from repro.runtime.trace import load_trace
-
-    by_type: dict[str, int] = {}
-    total = 0
-    for event in load_trace(args.trace_file):
-        by_type[type(event).__name__] = by_type.get(type(event).__name__, 0) + 1
-        total += 1
-    size = os.path.getsize(args.trace_file)
-    print(f"{args.trace_file}: JSON-lines")
+    stats = codec.trace_stats(args.trace_file)
+    print(f"{stats['path']}: binary (RPTR v1)")
     print(
-        f"  {total} events, {size} bytes "
-        f"({size / max(total, 1):.1f} B/event)"
+        f"  {stats['events']} events, {stats['file_bytes']} bytes "
+        f"({stats['bytes_per_event']:.1f} B/event)"
     )
-    for name, n in sorted(by_type.items(), key=lambda kv: -kv[1]):
+    print(
+        f"  tables: {stats['strings']} strings, {stats['stacks']} stacks"
+    )
+    for name, n in stats["by_type"].items():
         print(f"  {n:8d}  {name}")
+    from pathlib import Path as _Path
+
+    hist = codec.page_histogram(_Path(args.trace_file).read_bytes())
+    print(
+        f"  pages: {hist['pages']} distinct shadow pages, "
+        f"{hist['accesses']} accesses, skew {hist['skew']:.2f} "
+        f"(1.00 = uniform; high skew shards poorly)"
+    )
+    for page, n in hist["top"][:5]:
+        print(f"  {n:8d}  page {page:#x}")
     return 0
 
 
@@ -1016,17 +957,16 @@ def _cmd_serve(args) -> int:
     SIGTERM triggers a graceful drain (queued chunks are analysed and
     unfinished sessions checkpointed before exit).
 
-    Default mode is sharded: an acceptor in this process routes each
-    session to one of ``--workers`` shared-nothing worker processes by
-    consistent hashing on the session id, so aggregate throughput
-    scales with cores instead of saturating one GIL.
-    ``--single-process`` keeps everything on one thread pool here.
+    An acceptor in this process routes each session to one of
+    ``--workers`` shared-nothing worker processes by consistent hashing
+    on the session id, so aggregate throughput scales with cores
+    instead of saturating one GIL.
     """
     import os
     import signal
 
-    from repro.service import AnalysisServer, ShardedAnalysisServer
-    from repro.telemetry import StructuredLogger, Tracer
+    from repro.service import ShardedAnalysisServer
+    from repro.telemetry import StructuredLogger
 
     if (args.socket is None) == (args.tcp is None):
         raise SystemExit("pass exactly one of --socket PATH or --tcp HOST:PORT")
@@ -1054,37 +994,18 @@ def _cmd_serve(args) -> int:
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
 
-    common = dict(
-        queue_blocks=args.queue_blocks,
-        idle_timeout=args.idle_timeout,
+    server = ShardedAnalysisServer(
+        workers=args.workers, threads=args.threads,
+        queue_blocks=args.queue_blocks, idle_timeout=args.idle_timeout,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        finish_shards=args.finish_shards,
-        finish_predict=args.finish_predict,
-        **endpoint,
+        checkpoint_every=args.checkpoint_every, logger=logger,
+        log_file=args.log_file, log_level=args.log_level,
+        trace_dir=args.trace_dir, **endpoint,
     )
-    if args.single_process:
-        tracer = trace_out = None
-        if args.trace_dir:
-            tracer = Tracer(pid=os.getpid(), process_name="w0")
-            trace_out = os.path.join(
-                args.trace_dir, f"trace-w0-{os.getpid()}.json"
-            )
-        server = AnalysisServer(
-            workers=args.threads, logger=logger, tracer=tracer,
-            trace_out=trace_out, **common,
-        )
-        shape = f"single process, {args.threads} analysis threads"
-    else:
-        server = ShardedAnalysisServer(
-            workers=args.workers, threads=args.threads, logger=logger,
-            log_file=args.log_file, log_level=args.log_level,
-            trace_dir=args.trace_dir, **common,
-        )
-        shape = (
-            f"{args.workers} worker processes x {args.threads} threads, "
-            "consistent-hash routing"
-        )
+    shape = (
+        f"{args.workers} worker processes x {args.threads} threads, "
+        "consistent-hash routing"
+    )
 
     def _sigterm(signum, frame):
         raise KeyboardInterrupt
@@ -1242,8 +1163,8 @@ def _cmd_client_stat(args) -> int:
     """Print the service's metrics snapshot (``repro_service_*`` et al).
 
     ``--per-worker`` asks a sharded service for every worker process's
-    unmerged snapshot and prints each next to the merged whole (a
-    single-process server shows one ``w0`` section)."""
+    unmerged snapshot and prints each next to the merged whole (an
+    in-process ``AnalysisServer`` shows its one ``w0`` section)."""
     import json
 
     from repro.service import AnalysisClient

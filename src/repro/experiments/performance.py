@@ -274,18 +274,13 @@ def _throughput_breakdown(
 
 
 def trace_cost(
-    *, n_threads: int = 4, iterations: int = 120, binary: bool = False
+    *, n_threads: int = 4, iterations: int = 120
 ) -> dict[str, float]:
     """Quantify the §4.5 offline-analysis trade-off on the workload.
 
-    Returns the trace length, its estimated serialized size, and the
-    wall-clock for post-mortem replay through a Helgrind detector.
-
-    With ``binary=True`` the stream is additionally round-tripped
-    through the binary codec on disk (:mod:`repro.runtime.codec`),
-    adding exact JSONL vs binary byte counts and the
-    replay-from-binary wall clock — the E7 comparison at equal
-    information content.
+    Returns the trace length, its serialized size (the RPTR bytes the
+    events encode to), and the wall-clock for post-mortem replay
+    through a Helgrind detector.
     """
     recorder = TraceRecorder()
     vm = VM(detectors=(recorder,))
@@ -293,35 +288,8 @@ def trace_cost(
     start = time.perf_counter()
     replay(recorder.events, HelgrindDetector(HelgrindConfig.hwlc_dr()))
     replay_seconds = time.perf_counter() - start
-    result = {
+    return {
         "events": float(len(recorder)),
         "estimated_bytes": float(recorder.estimated_bytes),
         "replay_seconds": replay_seconds,
     }
-    if binary:
-        import tempfile
-        from pathlib import Path
-
-        from repro.runtime.trace import replay_trace
-
-        with tempfile.TemporaryDirectory() as tmp:
-            jsonl = TraceRecorder(Path(tmp) / "t.jsonl")
-            packed = TraceRecorder(Path(tmp) / "t.bin")
-            for event in recorder.events:
-                jsonl.handle(event, None)
-                packed.handle(event, None)
-            jsonl.close()
-            packed.close()
-            start = time.perf_counter()
-            replay_trace(
-                Path(tmp) / "t.bin", HelgrindDetector(HelgrindConfig.hwlc_dr())
-            )
-            result["binary_replay_seconds"] = time.perf_counter() - start
-            result["jsonl_bytes"] = float(jsonl.bytes_written)
-            result["binary_bytes"] = float(packed.bytes_written)
-            result["compression_ratio"] = (
-                jsonl.bytes_written / packed.bytes_written
-                if packed.bytes_written
-                else 0.0
-            )
-    return result

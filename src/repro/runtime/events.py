@@ -30,7 +30,7 @@ Design notes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "QueueGet",
     "ClientRequest",
     "EVENT_TYPES",
-    "event_from_dict",
 ]
 
 
@@ -123,9 +122,7 @@ _EMPTY_STACK: CallStack = ()
 #
 # * one allocation per *distinct* stack instead of one per event,
 # * report-location deduplication compares one canonical object per
-#   program point (equal stacks are the *same* tuple), and
-# * serialised traces replayed through :func:`event_from_dict` collapse
-#   back onto the same canonical objects as a live run.
+#   program point (equal stacks are the *same* tuple).
 
 _FRAME_INTERN: dict[Frame, Frame] = {}
 _STACK_INTERN: dict[CallStack, CallStack] = {_EMPTY_STACK: _EMPTY_STACK}
@@ -196,18 +193,6 @@ class Event:
     def site(self) -> Frame | None:
         """The innermost frame — the 'location' used for deduplication."""
         return self.stack[0] if self.stack else None
-
-    def to_dict(self) -> dict:
-        """Serialise for the trace log (offline / post-mortem analysis)."""
-        out: dict = {"type": type(self).__name__}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "stack":
-                value = [(fr.function, fr.file, fr.line) for fr in value]
-            elif isinstance(value, enum.Enum):
-                value = value.value
-            out[f.name] = value
-        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -385,50 +370,25 @@ class ClientRequest(Event):
     size: int = 0
 
 
-_EVENT_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        MemoryAccess,
-        MemAlloc,
-        MemFree,
-        LockAcquire,
-        LockRelease,
-        ThreadCreate,
-        ThreadFinish,
-        ThreadJoin,
-        CondWait,
-        CondSignal,
-        SemPost,
-        SemWait,
-        BarrierWait,
-        QueuePut,
-        QueueGet,
-        ClientRequest,
-    )
-}
-
 #: All concrete event types in a *stable, append-only* order.  The
 #: binary trace codec (:mod:`repro.runtime.codec`) indexes event blocks
 #: by position in this tuple, so reordering it would break every trace
 #: on disk — add new types at the end only.
-EVENT_TYPES = tuple(_EVENT_TYPES.values())
-
-_ENUM_FIELDS = {"kind": AccessKind, "mode": LockMode}
-
-
-def event_from_dict(data: dict) -> Event:
-    """Inverse of :meth:`Event.to_dict` (used by trace replay)."""
-    data = dict(data)
-    type_name = data.pop("type")
-    try:
-        cls = _EVENT_TYPES[type_name]
-    except KeyError:
-        raise ValueError(f"unknown event type in trace: {type_name!r}") from None
-    if "stack" in data:
-        data["stack"] = intern_stack(
-            tuple(Frame(fn, fi, ln) for fn, fi, ln in data["stack"])
-        )
-    for name, enum_cls in _ENUM_FIELDS.items():
-        if name in data:
-            data[name] = enum_cls(data[name])
-    return cls(**data)
+EVENT_TYPES = (
+    MemoryAccess,
+    MemAlloc,
+    MemFree,
+    LockAcquire,
+    LockRelease,
+    ThreadCreate,
+    ThreadFinish,
+    ThreadJoin,
+    CondWait,
+    CondSignal,
+    SemPost,
+    SemWait,
+    BarrierWait,
+    QueuePut,
+    QueueGet,
+    ClientRequest,
+)

@@ -7,11 +7,9 @@ trace: "offline techniques suffer from their need for large amount of
 data").  Both modes are supported:
 
 * :class:`TraceRecorder` is a detector hook that appends every event to
-  an in-memory list and can spill to disk in either of two formats:
-  human-greppable JSON-lines or the compact binary codec
-  (:mod:`repro.runtime.codec`), selected explicitly or by file suffix
-  (``.bin`` → binary).
-* :func:`load_trace` streams events back from either format — it is a
+  an in-memory list and can spill it to disk in the RPTR binary codec
+  (:mod:`repro.runtime.codec`), the one trace format.
+* :func:`load_trace` streams events back from an RPTR file — it is a
   *generator*, so a multi-gigabyte trace never has to fit in memory as
   event objects.
 * :func:`replay` feeds an event stream through any detector exactly as
@@ -28,14 +26,13 @@ rendering "Address ... inside a block of ..." report lines produce
 byte-identical output offline and on-the-fly.
 
 The recorder also measures what the paper warns about: the trace length
-and its footprint — exact bytes written when spilling, an estimate
-otherwise — so experiment E7 can report the on-the-fly vs offline
-trade-off quantitatively.
+and its footprint — the RPTR bytes the events encode to — so experiment
+E7 can report the on-the-fly vs offline trade-off quantitatively.
 """
 
 from __future__ import annotations
 
-import json
+import io
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -46,7 +43,6 @@ from repro.runtime.events import (
     Event,
     MemAlloc,
     MemFree,
-    event_from_dict,
 )
 
 __all__ = [
@@ -58,11 +54,6 @@ __all__ = [
     "build_handler_table",
 ]
 
-#: File suffixes that select the binary codec when no explicit format
-#: is given.
-_BINARY_SUFFIXES = {".bin", ".rptr"}
-
-
 class TraceRecorder:
     """Detector hook that records the full event stream.
 
@@ -73,46 +64,32 @@ class TraceRecorder:
         vm.run(program)
         replay(recorder.events, HelgrindDetector(...))
 
-    With a ``path`` the stream is *also* spilled to disk as it happens
-    — ``format="jsonl"`` (the default for unknown suffixes) or
-    ``format="binary"`` (the default for ``.bin``).  The file is opened
+    With a ``path`` the stream is *also* spilled to disk in RPTR as it
+    happens, whatever the file's suffix.  ``format`` names that codec
+    (``"binary"``) and takes no other value.  The file is opened
     eagerly, so a run that produces no events still leaves a valid,
-    empty trace behind (for binary: just the magic header) instead of
-    no file at all.
+    empty trace behind (just the magic header) instead of no file at
+    all.
     """
 
     def __init__(
-        self, path: str | Path | None = None, *, format: str | None = None
+        self, path: str | Path | None = None, *, format: str = "binary"
     ) -> None:
+        if format != "binary":
+            raise ValueError(f"unknown trace format: {format!r}")
         self.events: list[Event] = []
         self._path = Path(path) if path is not None else None
         self._file = None
         self._writer: codec.TraceWriter | None = None
-        self._jsonl_bytes = 0
-        if format not in (None, "jsonl", "binary"):
-            raise ValueError(f"unknown trace format: {format!r}")
-        if format is None and self._path is not None:
-            format = (
-                "binary" if self._path.suffix in _BINARY_SUFFIXES else "jsonl"
-            )
-        self.format = format
         if self._path is not None:
-            if self.format == "binary":
-                self._file = self._path.open("wb")
-                self._writer = codec.TraceWriter(self._file)
-            else:
-                self._file = self._path.open("w", encoding="utf-8")
+            self._file = self._path.open("wb")
+            self._writer = codec.TraceWriter(self._file)
 
     def handle(self, event: Event, vm) -> None:
         """VM hook: append (and optionally spill) one event."""
         self.events.append(event)
         if self._writer is not None:
             self._writer.write(event)
-        elif self._file is not None:
-            line = json.dumps(event.to_dict(), separators=(",", ":"))
-            self._file.write(line)
-            self._file.write("\n")
-            self._jsonl_bytes += len(line) + 1
 
     def close(self) -> None:
         if self._writer is not None:
@@ -135,7 +112,7 @@ class TraceRecorder:
         """Exact bytes spilled to disk so far (0 when not spilling)."""
         if self._writer is not None:
             return self._writer.bytes_written
-        return self._jsonl_bytes
+        return 0
 
     #: Metric label under ``repro_detector_state``.
     telemetry_name = "trace_recorder"
@@ -157,42 +134,30 @@ class TraceRecorder:
     def estimated_bytes(self) -> int:
         """Serialized size — the §4.5 "large amount of data" metric.
 
-        *Exact* when spilling to a file (the writer counts every byte);
-        otherwise estimated from the JSON encoding of a sample (first
-        100 events) scaled to the full length, so it stays cheap on
-        long in-memory traces.
+        The RPTR bytes the recorded events encode to: what the writer
+        counted when spilling to a file, otherwise what encoding them
+        now counts (0 for no events).
         """
         if self._path is not None:
             return self.bytes_written
         if not self.events:
             return 0
-        sample = self.events[:100]
-        sample_bytes = sum(
-            len(json.dumps(e.to_dict(), separators=(",", ":"))) + 1 for e in sample
-        )
-        return int(sample_bytes / len(sample) * len(self.events))
+        writer = codec.TraceWriter(io.BytesIO())
+        for event in self.events:
+            writer.write(event)
+        writer.close()
+        return writer.bytes_written
 
 
 def load_trace(path: str | Path) -> Iterator[Event]:
-    """Stream events from a trace file (JSON-lines or binary).
+    """Stream events from an RPTR trace file.
 
     A *generator*: events are decoded lazily, one at a time, so callers
-    iterate traces far larger than memory.  The format is detected from
-    the file content (binary traces start with the codec magic), not
-    the suffix.  Call ``list(load_trace(p))`` where a list is needed.
+    iterate traces far larger than memory.  A file that does not start
+    with the codec magic raises ``ValueError("not a binary trace (bad
+    magic)")``.  Call ``list(load_trace(p))`` where a list is needed.
     """
-    path = Path(path)
-    if codec.is_binary_trace(path):
-        return codec.events_from_bytes(path.read_bytes())
-    return _load_jsonl(path)
-
-
-def _load_jsonl(path: Path) -> Iterator[Event]:
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield event_from_dict(json.loads(line))
+    return codec.events_from_bytes(Path(path).read_bytes())
 
 
 class _ReplayBlock:
@@ -355,33 +320,24 @@ def replay_trace(
 ) -> int:
     """Replay a trace *file* through detectors; returns the event count.
 
-    For binary traces this is the fast path: per-type handlers are
-    resolved once, whole blocks without a subscriber are skipped
-    undecoded, and each row is decoded into a reusable flyweight event
-    (zero per-event allocation).  Handlers must not retain the event
-    object beyond the call — all in-tree detectors copy out scalars and
-    the (immutable, canonical) stack tuple.  JSON-lines traces fall
-    back to :func:`load_trace` + :func:`replay` with real events.
+    The fast path from disk: per-type handlers are resolved once, whole
+    blocks without a subscriber are skipped undecoded, and each row is
+    decoded into a reusable flyweight event (zero per-event
+    allocation).  Handlers must not retain the event object beyond the
+    call — all in-tree detectors copy out scalars and the (immutable,
+    canonical) stack tuple.  A file that is not RPTR raises the codec's
+    ``ValueError`` (bad magic).
 
     When ``vm`` is omitted a :class:`ReplayVM` is created and fed the
     trace's allocation events, so report "Address" lines match the
     original run byte-for-byte.  ``stats`` (a
     :class:`repro.runtime.codec.ReplayStats`) receives block-skip
-    accounting for binary traces.
+    accounting.
     """
     path = Path(path)
     if vm is None:
         vm = ReplayVM()
     hooks: tuple = (vm, *detectors) if isinstance(vm, ReplayVM) else detectors
-
-    if not codec.is_binary_trace(path):
-        count = 0
-        for event in _load_jsonl(path):
-            count += 1
-            for hook in hooks:
-                hook.handle(event, vm)
-        return count
-
     data = path.read_bytes()
     handler_table = build_handler_table(hooks, vm)
     return codec.replay_blocks(data, handler_table, vm, stats=stats)

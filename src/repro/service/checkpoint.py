@@ -8,6 +8,12 @@ resume offset, event count).  The store writes atomically (temp file +
 even if the server dies mid-write; a resumed session continues
 byte-for-byte from ``offset`` (see ``docs/SERVICE.md``).
 
+A file is a 12-byte header — payload length and CRC-32 — followed by
+the pickle.  :meth:`CheckpointStore.load` checks both before it
+unpickles anything, so a truncated or bit-flipped file (or one written
+by another layout) is a ``ValueError("corrupt checkpoint …")``, which a
+resuming client receives as an ERROR frame.
+
 Checkpoints are per-session files named ``<session_id>.ckpt`` so a
 restarted server can enumerate what is resumable without deserialising
 anything.
@@ -17,12 +23,18 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
+import zlib
 from pathlib import Path
 
 __all__ = ["Checkpoint", "CheckpointStore"]
 
 #: Store layout version (bump on incompatible payload changes).
-CHECKPOINT_VERSION = 1
+#: Version 2: the pickle follows a length + CRC-32 header.
+CHECKPOINT_VERSION = 2
+
+#: File header: payload length, payload CRC-32.
+_HEADER = struct.Struct("!QI")
 
 _SUFFIX = ".ckpt"
 
@@ -70,16 +82,47 @@ class CheckpointStore:
             }
         )
         tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(payload)
+        tmp.write_bytes(
+            _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        )
         os.replace(tmp, path)
         return path
 
     def load(self, session_id: str) -> Checkpoint | None:
-        """Read one checkpoint; ``None`` if the session has none."""
+        """Read one checkpoint; ``None`` if the session has none.
+
+        A file whose header, checksum or pickle does not hold raises
+        ``ValueError("corrupt checkpoint …")``.
+        """
         path = self._path(session_id)
         if not path.exists():
             return None
-        data = pickle.loads(path.read_bytes())
+        raw = path.read_bytes()
+        if len(raw) < _HEADER.size:
+            raise ValueError(
+                f"corrupt checkpoint {path}: {len(raw)} bytes, shorter "
+                "than its header"
+            )
+        length, crc = _HEADER.unpack_from(raw)
+        payload = raw[_HEADER.size:]
+        if len(payload) != length:
+            raise ValueError(
+                f"corrupt checkpoint {path}: header says {length} payload "
+                f"bytes, file holds {len(payload)}"
+            )
+        if zlib.crc32(payload) != crc:
+            raise ValueError(f"corrupt checkpoint {path}: checksum mismatch")
+        try:
+            data = pickle.loads(payload)
+        except Exception as exc:
+            raise ValueError(
+                f"corrupt checkpoint {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"corrupt checkpoint {path}: holds a "
+                f"{type(data).__name__}, not a dict"
+            )
         if data.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {data.get('version')!r} "

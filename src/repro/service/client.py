@@ -73,7 +73,7 @@ class AnalysisClient:
         self.bytes_sent = 0
         #: ``(host, port)`` of the worker this session was redirected
         #: to by a sharded acceptor, if any (``None`` on unix sockets
-        #: and single-process servers).
+        #: and from an in-process ``AnalysisServer``).
         self.redirected_to: tuple[str, int] | None = None
         self._redirect_hello: dict | None = None
 
@@ -213,7 +213,8 @@ class AnalysisClient:
         ``per_worker=True`` asks for the sharded view instead:
         ``{"merged": snapshot, "workers": {"w0": snapshot, ...}}`` —
         one unmerged snapshot per worker process next to the merged
-        whole (a single-process server answers with its lone ``w0``).
+        whole (an in-process ``AnalysisServer`` answers with its lone
+        ``w0``).
         """
         if per_worker:
             protocol.send_json(self._sock, protocol.STAT, {"per_worker": True})

@@ -81,26 +81,6 @@ class ServiceSession:
         #: client's spent credits (``== queue_blocks`` ⇒ client stalled).
         self._uncredited = 0
         self._events_since_checkpoint = 0
-        #: FINISH-time post-passes (``server.finish_shards`` /
-        #: ``server.finish_predict``): the analysed byte stream is
-        #: spooled to a temp file so the whole trace can be replayed —
-        #: sharded and byte-compared against the streaming report,
-        #: and/or under the predictive profile to append predicted
-        #: findings.  Resumed sessions skip it — their spool would be
-        #: missing everything before the checkpoint.
-        self._spool = None
-        wants_spool = (
-            getattr(server, "finish_shards", 0) >= 1
-            or getattr(server, "finish_predict", False)
-        )
-        if wants_spool and api_session is None:
-            import tempfile
-
-            self._spool = tempfile.NamedTemporaryFile(
-                prefix=f"repro-spool-{session_id}-",
-                suffix=".rptr",
-                delete=False,
-            )
         with server.registry_lock:
             self._init_metrics(session_id, server.registry)
 
@@ -218,11 +198,6 @@ class ServiceSession:
             if item is _DETACH:
                 self._detach_now()
                 return
-            if self._spool is not None:
-                # Written on the (single) worker thread in analysis
-                # order, so the spool is the exact byte stream the
-                # streaming decoder saw.
-                self._spool.write(item)
             try:
                 events = self.api.feed(item)
             except Exception as exc:
@@ -267,11 +242,7 @@ class ServiceSession:
         # End-of-stream pass: a no-op for the legacy tiers; a session
         # running the "predictive" profile emits its predictions here.
         self.api.finalize()
-        payload = streaming_payload = self.api.report_text().encode("utf-8")
-        if getattr(self.server, "finish_predict", False) and self._spool is not None:
-            # Before the send: the whole point is a report that carries
-            # the predicted findings (opt-in; adds replay latency).
-            payload = self._finish_predict(payload)
+        payload = self.api.report_text().encode("utf-8")
         self.server.log.info(
             "session_finish", session=self.session_id,
             events=self.api.events_seen, bytes=self.api.bytes_fed,
@@ -291,23 +262,12 @@ class ServiceSession:
                     protocol.send_frame(conn, protocol.REPORT, payload)
             except OSError:
                 self.conn = None
-        if self._spool is not None:
-            if getattr(self.server, "finish_shards", 0) >= 1:
-                # After the client has its report — the verification
-                # pass must never add to report latency.  It compares
-                # against the *streaming* bytes: the predictive
-                # post-pass (if any) appended findings the sharded
-                # re-analysis of a legacy config would not produce.
-                self._verify_sharded(streaming_payload)
-            else:
-                self._drop_spool()
         self.server.release(self, drop_checkpoint=True)
 
     def _fail(self, message: str) -> None:
         """Analysis failed mid-stream: tell the client, keep the last
         good checkpoint (the failed chunk advanced nothing, so a
         corrected stream can resume from it), release the session."""
-        self._drop_spool()
         self.finished = True
         self.server.log.error(
             "session_error", session=self.session_id, error=message,
@@ -332,145 +292,9 @@ class ServiceSession:
 
     def _detach_now(self) -> None:
         """Connection gone: persist progress and release the session."""
-        self._drop_spool()
         if not self.finished:
             self.checkpoint()
         self.server.release(self, drop_checkpoint=False)
-
-    # ------------------------------------------------------------------
-    # FINISH-time sharded re-analysis (opt-in offline post-pass)
-    # ------------------------------------------------------------------
-
-    def _drop_spool(self) -> None:
-        if self._spool is None:
-            return
-        spool, self._spool = self._spool, None
-        import os
-
-        try:
-            spool.close()
-            os.unlink(spool.name)
-        except OSError:
-            pass
-
-    def _finish_predict(self, payload: bytes) -> bytes:
-        """Replay the spooled trace under the ``predictive`` profile and
-        append its predicted findings to the session's report.
-
-        Opt-in (``repro serve --finish-predict``): a session streaming
-        under a legacy configuration gets the offline prediction tier's
-        findings in the same REPORT frame.  Sessions already running the
-        ``predictive`` profile are skipped (counted as
-        ``result="skipped"``): their own ``finalize`` produced the
-        identical predictions, and re-adding them would bump the
-        deduplicated locations' occurrence counts — breaking byte-parity
-        with a live predictive run.  Failure never loses the streaming
-        report: on any error the original payload is served and the
-        outcome counted in
-        ``repro_service_predict_finish_total{result=error}``.
-        """
-        from repro.api.profiles import profile
-
-        spool = self._spool
-        if profile(self.config).predictive:
-            with self.server.registry_lock:
-                self.server.registry.counter(
-                    "repro_service_predict_finish_total",
-                    {"result": "skipped"},
-                    help="FINISH-time predictive post-pass outcomes",
-                ).inc()
-            return payload
-        try:
-            spool.flush()
-            from repro.detectors.report import WarningKind
-            from repro.runtime.trace import replay_trace
-
-            det = profile("predictive").detector()
-            replay_trace(spool.name, det)
-            det.finalize()
-            predicted_kinds = (
-                WarningKind.PREDICTED_RACE, WarningKind.PREDICTED_DEADLOCK
-            )
-            report = self.api.report
-            appended = 0
-            for warning in det.report.warnings:
-                if warning.kind in predicted_kinds:
-                    report.add(warning)
-                    appended += 1
-            payload = self.api.report_text().encode("utf-8")
-            outcome = "ok"
-        except Exception as exc:  # never let the post-pass kill a worker
-            outcome = "error"
-            appended = 0
-            self.server.log.error(
-                "predict_finish_error", session=self.session_id,
-                error=f"{type(exc).__name__}: {exc}", trace=self.trace_id,
-            )
-        with self.server.registry_lock:
-            self.server.registry.counter(
-                "repro_service_predict_finish_total",
-                {"result": outcome},
-                help="FINISH-time predictive post-pass outcomes",
-            ).inc()
-        if outcome == "ok":
-            self.server.log.info(
-                "predict_finish", session=self.session_id,
-                predicted=appended, trace=self.trace_id,
-            )
-        return payload
-
-    def _verify_sharded(self, payload: bytes) -> None:
-        """Replay the spooled trace sharded; byte-compare the reports.
-
-        The paper's offline tier as a self-check: the streaming report
-        and an N-process page-sharded replay of the same bytes must be
-        byte-identical.  Outcome lands in
-        ``repro_service_shard_verify_total{result=...}`` and the
-        structured log; a mismatch is an analysis bug, not a client
-        error, so the session itself is unaffected.
-        """
-        spool, self._spool = self._spool, None
-        import os
-
-        try:
-            spool.flush()
-            from repro.detectors.parallel import replay_trace_sharded
-
-            result = replay_trace_sharded(
-                spool.name, self.config, shards=self.server.finish_shards
-            )
-            import json as _json
-
-            sharded = _json.dumps(result.report.to_dict(), indent=2)
-            outcome = (
-                "match" if sharded.encode("utf-8") == payload else "mismatch"
-            )
-        except Exception as exc:  # never let the post-pass kill a worker
-            outcome = "error"
-            self.server.log.error(
-                "shard_verify_error", session=self.session_id,
-                error=f"{type(exc).__name__}: {exc}", trace=self.trace_id,
-            )
-        finally:
-            try:
-                spool.close()
-                os.unlink(spool.name)
-            except OSError:
-                pass
-        with self.server.registry_lock:
-            self.server.registry.counter(
-                "repro_service_shard_verify_total",
-                {"result": outcome},
-                help="FINISH-time sharded re-analysis outcomes",
-            ).inc()
-        log = (
-            self.server.log.info if outcome == "match" else self.server.log.error
-        )
-        if outcome != "error":
-            log(
-                "shard_verify", session=self.session_id, result=outcome,
-                shards=self.server.finish_shards, trace=self.trace_id,
-            )
 
     # ------------------------------------------------------------------
 

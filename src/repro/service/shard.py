@@ -252,8 +252,6 @@ class ShardedAnalysisServer:
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 0,
         throttle: float = 0.0,
-        finish_shards: int = 0,
-        finish_predict: bool = False,
         registry: MetricsRegistry | None = None,
         replicas: int = DEFAULT_REPLICAS,
         logger=None,
@@ -273,13 +271,6 @@ class ShardedAnalysisServer:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.throttle = throttle
-        #: Forwarded to every worker process: FINISH-time sharded
-        #: re-analysis fan-out (0 = off).
-        self.finish_shards = finish_shards
-        #: Forwarded to every worker process: FINISH-time predictive
-        #: post-pass (replay the session spool under the ``predictive``
-        #: profile and append predicted findings to the report).
-        self.finish_predict = finish_predict
         self.ring = HashRing(workers, replicas)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.registry_lock = threading.Lock()
@@ -454,10 +445,6 @@ class ShardedAnalysisServer:
             cmd += ["--checkpoint-every", str(self.checkpoint_every)]
         if self.throttle:
             cmd += ["--throttle", str(self.throttle)]
-        if self.finish_shards:
-            cmd += ["--finish-shards", str(self.finish_shards)]
-        if self.finish_predict:
-            cmd += ["--finish-predict"]
         if self.log_file:
             cmd += ["--log-file", self.log_file]
         if self.log_level:
@@ -830,8 +817,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--checkpoint-dir", default=None)
     parser.add_argument("--checkpoint-every", type=int, default=0)
     parser.add_argument("--throttle", type=float, default=0.0)
-    parser.add_argument("--finish-shards", type=int, default=0)
-    parser.add_argument("--finish-predict", action="store_true")
     parser.add_argument("--log-file", default=None)
     parser.add_argument("--log-level", default=None)
     parser.add_argument("--trace-dir", default=None)
@@ -890,8 +875,6 @@ def worker_main(argv: list[str] | None = None) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         throttle=args.throttle,
-        finish_shards=args.finish_shards,
-        finish_predict=args.finish_predict,
         worker_id=worker_id,
         logger=logger,
         flight=flight,

@@ -7,7 +7,9 @@ reader in :data:`READERS`:
 * **corrupt records are typed errors** — an unknown tag, event type or
   flags byte, a frame or stack naming an undefined string or frame, a
   4 GiB string, an endless varint and a bad magic raise ``ValueError``,
-  whether the record stands alone or follows a whole trace;
+  whether the record stands alone or follows a whole trace, and
+  ``load_trace`` and ``replay_trace`` reject a JSON-lines file as a bad
+  magic;
 * **corrupt rows are typed errors** — a row naming an undefined stack
   or string, or carrying an out-of-range enum, raises
   ``ValueError("corrupt trace: row i of a <Type> block …")``, while an
@@ -39,7 +41,7 @@ from repro.api.profiles import profile
 from repro.runtime import codec
 from repro.runtime.codec import StreamDecoder, TraceWriter
 from repro.runtime.events import EVENT_TYPES, LockAcquire, MemAlloc, MemoryAccess
-from repro.runtime.trace import replay_trace
+from repro.runtime.trace import load_trace, replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +142,26 @@ def test_corrupt_record_is_a_typed_error(t1, reader, after_trace, record):
         READERS[reader](data)
 
 
-@pytest.mark.parametrize("reader", READERS)
-def test_bad_magic_is_a_typed_error(t1, reader):
+#: The file readers, given a path.
+FILE_READERS = {
+    "load_trace": lambda path: list(load_trace(path)),
+    "replay_trace": lambda path: replay_trace(
+        path, profile("hwlc+dr").detector()
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", [*READERS, *FILE_READERS])
+def test_bad_magic_is_a_typed_error(t1, tmp_path, reader):
+    """The byte readers get an RPTR image with a bad magic; the file
+    readers get a JSON-lines trace, which is not RPTR either."""
     with pytest.raises(ValueError, match="bad magic"):
-        READERS[reader](b"RPTX\x01" + t1[len(codec.MAGIC):])
+        if reader in READERS:
+            READERS[reader](b"RPTX\x01" + t1[len(codec.MAGIC):])
+        else:
+            path = tmp_path / "trace.jsonl"
+            path.write_text('{"type":"MemoryAccess","step":0,"tid":0}\n')
+            FILE_READERS[reader](path)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +295,7 @@ def test_mutated_trace_returns_or_raises_value_error(t1, mutations):
 @given(data=st.data())
 def test_truncated_file_replays_like_a_truncated_stream(t1, data):
     """Cuts start after the magic: a shorter file is not an RPTR trace
-    at all, and ``replay_trace`` reads it as JSON lines."""
+    at all, and ``replay_trace`` rejects it as a bad magic."""
     cut = data.draw(st.integers(len(codec.MAGIC), len(t1)), label="cut")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     prefix = t1[:cut]

@@ -6,7 +6,10 @@ The contracts under test are the tentpole's acceptance criteria:
   ``repro trace replay`` report, for T1–T3 under all three paper
   configurations, with any number of concurrent sessions;
 * a **killed** server (no drain) resumes a checkpointed session
-  mid-stream and still produces the identical report;
+  mid-stream and still produces the identical report, and a damaged
+  checkpoint file fails its resume with an ERROR frame;
+* a session opened as ``predictive`` reports what an offline
+  predictive replay reports, predictions included;
 * the per-session ingest queue **never buffers more than the
   configured bound** and credit exhaustion is visible as
   ``repro_service_backpressure_stalls_total``;
@@ -20,8 +23,10 @@ nothing leaks between tests.
 from __future__ import annotations
 
 import json
+import pickle
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -173,6 +178,28 @@ class TestErrors:
             assert fetch_report(
                 path, socket_path=unix_server.address
             ) == reference
+
+
+def _framed(payload: bytes) -> bytes:
+    """A checkpoint file holding ``payload`` under a valid header."""
+    from repro.service.checkpoint import _HEADER
+
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _flip_middle_byte(data: bytes) -> bytes:
+    mid = len(data) // 2
+    return data[:mid] + bytes([data[mid] ^ 0x01]) + data[mid + 1:]
+
+
+#: ``name: (checkpoint file -> damaged file, expected message)``.
+CHECKPOINT_DAMAGE = {
+    "truncated-to-3-bytes": (lambda f: f[:3], "shorter than its header"),
+    "truncated-by-1-byte": (lambda f: f[:-1], "payload bytes"),
+    "flipped-byte": (_flip_middle_byte, "checksum mismatch"),
+    "not-a-pickle": (lambda f: _framed(b"not a pickle"), "UnpicklingError"),
+    "not-a-dict": (lambda f: _framed(pickle.dumps([1])), "not a dict"),
+}
 
 
 class TestKillAndResume:
@@ -395,6 +422,59 @@ class TestKillAndResume:
         finally:
             server.shutdown(drain=True, timeout=10.0)
 
+    @pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
+    def test_corrupt_checkpoint_is_an_error_frame(
+        self, tmp_path, traces, damage
+    ):
+        """A damaged checkpoint file fails the resume with an ERROR
+        frame naming it corrupt, and the server goes on serving fresh
+        sessions."""
+        from repro.api import Session
+        from repro.service import Checkpoint
+
+        path, reference = traces[("T1", "hwlc+dr")]
+        data = path.read_bytes()
+        analysed = Session("hwlc+dr")
+        analysed.feed(data[: len(data) // 2])
+        saved = CheckpointStore(tmp_path / "ck").save(
+            Checkpoint(
+                "s0042", "hwlc+dr", analysed.bytes_fed,
+                analysed.events_seen, analysed.snapshot(),
+            )
+        )
+        damaged, message = CHECKPOINT_DAMAGE[damage]
+        saved.write_bytes(damaged(saved.read_bytes()))
+        server = AnalysisServer(
+            socket_path=str(tmp_path / "a.sock"),
+            workers=1,
+            checkpoint_dir=str(tmp_path / "ck"),
+        )
+        server.start()
+        try:
+            with AnalysisClient(socket_path=server.address) as client:
+                with pytest.raises(
+                    ServiceError, match=f"corrupt checkpoint .*{message}"
+                ):
+                    client.hello(session="s0042")
+            assert fetch_report(path, socket_path=server.address) == reference
+        finally:
+            server.shutdown(drain=True, timeout=10.0)
+
+
+class TestPredictiveSessions:
+    @pytest.mark.parametrize("case_id", ("T9", "T10"))
+    def test_report_matches_offline_predictive_replay(
+        self, unix_server, predictive_traces, case_id
+    ):
+        """A session opened as ``predictive`` runs the prediction pass
+        at FINISH: its REPORT equals an offline predictive replay of
+        the same trace byte for byte, predictions included."""
+        path, reference = predictive_traces[case_id]
+        assert b'"predicted-' in reference
+        assert fetch_report(
+            path, "predictive", socket_path=unix_server.address
+        ) == reference
+
 
 class TestBackpressure:
     def test_queue_bound_and_stalls(self, traces):
@@ -534,73 +614,3 @@ class TestCliClient:
 
         assert main(["client"]) == 2
         assert "record" in capsys.readouterr().out
-
-
-class TestFinishShards:
-    """Opt-in FINISH-time sharded re-analysis (``--finish-shards N``).
-
-    The session spools every ingested chunk; at FINISH the server
-    replays the spool through the page-sharded parallel analyzer and
-    byte-compares the result against the report it just served.  The
-    outcome must land in ``repro_service_shard_verify_total``."""
-
-    def _verify_totals(self, server):
-        with server.registry_lock:
-            family = server.registry.snapshot()["metrics"].get(
-                "repro_service_shard_verify_total"
-            )
-        if family is None:
-            return {}
-        return {
-            s["labels"]["result"]: s["value"] for s in family["samples"]
-        }
-
-    @pytest.mark.parametrize("finish_shards", (1, 2))
-    def test_verify_matches_served_report(
-        self, tmp_path, traces, finish_shards
-    ):
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "repro.sock"),
-            workers=1,
-            finish_shards=finish_shards,
-        )
-        server.start()
-        try:
-            path, reference = traces[("T1", "hwlc+dr")]
-            got = fetch_report(path, "hwlc+dr", socket_path=server.address)
-            assert got == reference
-        finally:
-            # Drain: release happens after the verify pass, so after
-            # shutdown the counter is final.
-            server.shutdown(drain=True, timeout=30.0)
-        assert self._verify_totals(server) == {"match": 1.0}
-
-    def test_detached_session_drops_spool(self, tmp_path, traces):
-        """A client that vanishes mid-stream must not leave the spool
-        behind or trigger a verification pass."""
-        import socket as socket_mod
-
-        from repro.service import protocol
-
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "repro.sock"),
-            workers=1,
-            finish_shards=1,
-        )
-        server.start()
-        try:
-            path, _ = traces[("T2", "hwlc")]
-            data = path.read_bytes()
-            conn = socket_mod.socket(socket_mod.AF_UNIX)
-            conn.connect(server.address)
-            try:
-                protocol.send_json(conn, protocol.HELLO, {
-                    "trace": "drop-test", "config": "hwlc",
-                })
-                protocol.FrameReader(conn).read()  # WELCOME
-                protocol.send_frame(conn, protocol.DATA, data[:4096])
-            finally:
-                conn.close()  # vanish without FINISH
-        finally:
-            server.shutdown(drain=True, timeout=30.0)
-        assert self._verify_totals(server) == {}

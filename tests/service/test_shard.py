@@ -6,8 +6,9 @@ The contracts under test are the sharding PR's acceptance criteria:
   same worker slot in every process and run, and resizing the fleet
   remaps only ≈1/N of the id space;
 * every sharded report is **byte-identical** to its offline (and
-  single-process) twin, over both transports — unix sockets with
-  SCM_RIGHTS connection handover and TCP with per-worker REDIRECT;
+  in-process) twin, over both transports — unix sockets with
+  SCM_RIGHTS connection handover and TCP with per-worker REDIRECT —
+  and under the ``predictive`` profile too;
 * a worker killed with ``SIGKILL`` mid-session is **restarted by the
   supervisor** and the session resumes from its checkpoint on the
   replacement, report still byte-identical;
@@ -160,6 +161,25 @@ class TestShardedUnix:
             assert _metric_sum(merged, "repro_service_sessions_total") == 1
             assert sorted(per["workers"]) == ["w0", "w1"]
             assert _metric_sum(per["merged"], "repro_service_sessions_total") == 1
+        finally:
+            server.shutdown(drain=True, timeout=30.0)
+
+    def test_predictive_sessions_match_offline_predictive_replay(
+        self, tmp_path, predictive_traces
+    ):
+        """T9 and T10 opened as ``predictive`` on two worker processes:
+        each REPORT equals an offline predictive replay byte for byte,
+        predictions included."""
+        server = ShardedAnalysisServer(
+            socket_path=str(tmp_path / "shard.sock"), workers=2, threads=1
+        )
+        server.start()
+        try:
+            for case_id, (path, reference) in predictive_traces.items():
+                assert b'"predicted-' in reference, case_id
+                assert fetch_report(
+                    path, "predictive", socket_path=server.address
+                ) == reference, case_id
         finally:
             server.shutdown(drain=True, timeout=30.0)
 

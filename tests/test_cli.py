@@ -235,6 +235,27 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == "error: corrupt trace: unknown record tag 9\n", argv
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"type":"MemoryAccess"}\n', b"plain text\n", b"RPT"],
+        ids=["json-line", "plain-text", "shorter-than-magic"],
+    )
+    def test_non_rptr_file_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, content
+    ):
+        """Every file that is not RPTR — a JSON-lines trace included —
+        ends ``trace replay`` and ``trace stat`` with the codec's one
+        bad-magic line and exit status 2."""
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes(content)
+        for argv in (
+            ["trace", "replay", str(trace)],
+            ["trace", "stat", str(trace)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error: not a binary trace (bad magic)\n", argv
+
     def test_trace_replay_shards_rejects_garbage(self, capsys):
         with pytest.raises(SystemExit):
             main(["trace", "replay", "x.rptr", "--shards", "many"])
