@@ -9,8 +9,8 @@ consolidates them:
 
 * :mod:`repro.api.profiles` — the :class:`~repro.api.profiles
   .AnalysisProfile` registry behind every configuration name: config
-  factory, detector factory and capability flags per tier (the paper's
-  three configurations and the ``predictive`` tier register uniformly).
+  factory and detector factory per tier (the paper's configurations,
+  the ``predictive`` tier and the §2.2 baselines register uniformly).
 * :class:`Pipeline` — a profile (or hand-built config) bound to
   factories for everything built from it: fresh detectors, live harness
   runs, offline replays, and incremental sessions.
@@ -40,6 +40,7 @@ from repro.api.profiles import AnalysisProfile
 from repro.detectors import HelgrindConfig, HelgrindDetector
 from repro.detectors.report import Report
 from repro.runtime import codec
+from repro.runtime.events import EVENT_TYPES
 from repro.runtime.trace import ReplayVM, build_handler_table, replay_trace
 
 __all__ = [
@@ -197,8 +198,12 @@ class Session:
         return (self.vm, *self._extra_hooks, self.detector)
 
     def _bind(self) -> None:
-        """(Re)build the decoder's per-type handler table."""
-        self._decoder.bind(build_handler_table(self._hooks), self.vm)
+        """(Re)build the per-type handler table both ingest paths
+        dispatch through (it is not pickled: a composite detector
+        resolves some types to fan-out closures)."""
+        table = build_handler_table(self._hooks)
+        self._decoder.bind(table, self.vm)
+        self._routes = dict(zip(EVENT_TYPES, table))
 
     # -- ingestion -----------------------------------------------------
 
@@ -211,11 +216,11 @@ class Session:
         """Feed event objects directly (the in-memory ingest path)."""
         count = 0
         vm = self.vm
-        hooks = self._hooks
+        routes = self._routes
         for event in events:
             count += 1
-            for hook in hooks:
-                hook.handle(event, vm)
+            for fn in routes[type(event)]:
+                fn(event, vm)
         self._events_fed += count
         return count
 

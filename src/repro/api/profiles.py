@@ -1,23 +1,23 @@
-"""Analysis profiles: the registry every configuration name routes through.
+"""Analysis profiles: the one map from a name to a detector.
 
 Historically a string → ``HelgrindConfig`` table mapped names to
 configurations, which worked while every analysis tier was a flavour
-of the same detector.  The predictive tier broke that
-assumption: ``predictive`` needs a *different detector class*
-(:class:`~repro.detectors.predict.PredictiveDetector`) layered on the
-``hwlc+dr`` configuration, plus a finalisation pass the legacy tiers do
-not have.  An :class:`AnalysisProfile` captures all of it in one
-registered object:
+of the same detector.  The predictive tier and the §2.2 baselines
+broke that assumption: ``predictive`` layers a *different detector
+class* (:class:`~repro.detectors.predict.PredictiveDetector`) on the
+``hwlc+dr`` configuration, and ``djit``, ``hybrid``, ``racetrack`` and
+``atomizer`` are other algorithms altogether, run on the same
+instrumented (``hwlc+dr``) build.  An :class:`AnalysisProfile`
+captures each in one registered object:
 
-* the public **name** (the CLI ``--detector-config`` vocabulary, the
-  service HELLO ``config`` field, the harness column label),
+* the public **name** (the CLI's configuration and ``--detector``
+  vocabulary, the service HELLO ``config`` field, the harness column
+  label),
 * a **config factory** (fresh :class:`HelgrindConfig` per call — configs
-  are frozen but interning tables behind them are not),
+  are frozen but interning tables behind them are not; it also picks
+  the instrumented build),
 * a **detector factory** (config → ready detector, honouring
-  suppressions),
-* **capabilities** flags (``"paper-eval"`` marks the three Figure-6
-  configurations; ``"predictive"`` marks profiles whose detector emits
-  predicted findings at :meth:`finalize` time).
+  suppressions).
 
 Look-ups go through :func:`profile`; enumeration through
 :func:`profiles`/:func:`profile_names`.
@@ -25,10 +25,18 @@ Look-ups go through :func:`profile`; enumeration through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.detectors import HelgrindConfig, HelgrindDetector
+from repro.detectors import (
+    AtomizerDetector,
+    DjitDetector,
+    HelgrindConfig,
+    HelgrindDetector,
+    HybridDetector,
+    PredictiveDetector,
+    RaceTrackDetector,
+)
 
 __all__ = [
     "AnalysisProfile",
@@ -56,15 +64,7 @@ class AnalysisProfile:
     #: Fresh configuration per call.
     config_factory: Callable[[], HelgrindConfig]
     #: ``(config, *, suppressions=None) -> detector``.
-    detector_factory: Callable[..., HelgrindDetector]
-    #: Capability flags: ``"paper-eval"`` (a Figure-6 configuration),
-    #: ``"predictive"`` (detector emits predicted findings at finalize).
-    capabilities: frozenset[str] = field(default_factory=frozenset)
-
-    @property
-    def predictive(self) -> bool:
-        """True when the profile's detector predicts offline findings."""
-        return "predictive" in self.capabilities
+    detector_factory: Callable[..., object]
 
     def config(self) -> HelgrindConfig:
         """A fresh configuration for this profile."""
@@ -98,12 +98,14 @@ def profiles() -> tuple[AnalysisProfile, ...]:
 def profile(name: str) -> AnalysisProfile:
     """Look up a profile by name.
 
-    Unknown names raise a :class:`ValueError` listing every known one,
-    so CLI and service error paths read identically.
+    An unknown name, or one that is not a string (a service HELLO's
+    ``config`` is whatever JSON the client sent), raises a
+    :class:`ValueError` listing every known one, so CLI and service
+    error paths read identically.
     """
     try:
         return _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(profile_names())
         raise ValueError(
             f"unknown detector configuration {name!r}; "
@@ -111,61 +113,71 @@ def profile(name: str) -> AnalysisProfile:
         ) from None
 
 
-def _predictive_detector(config: HelgrindConfig, *, suppressions=None):
-    # Deferred: predict.py imports the detector stack, which is heavier
-    # than this registry module needs at import time.
-    from repro.detectors.predict import PredictiveDetector
-
-    return PredictiveDetector(config, suppressions=suppressions)
+def _on_hwlc_dr(name: str) -> Callable[[], HelgrindConfig]:
+    """Config factory of a tier riding the instrumented HWLC+DR build."""
+    return lambda: HelgrindConfig.hwlc_dr().with_(name=name)
 
 
-# -- the registered tiers ----------------------------------------------
+def _config_free(detector_class) -> Callable[..., object]:
+    """Detector factory of a baseline with no lock-set engine: its
+    profile's configuration only picks the instrumented build."""
+    return lambda config, *, suppressions=None: detector_class(
+        suppressions=suppressions
+    )
 
-register_profile(AnalysisProfile(
-    name="original",
-    description="Helgrind as shipped: mutex bus-lock model (§3)",
-    config_factory=HelgrindConfig.original,
-    detector_factory=HelgrindDetector,
-    capabilities=frozenset({"paper-eval"}),
-))
-register_profile(AnalysisProfile(
-    name="hwlc",
-    description="corrected hardware bus-lock semantics (§3.2)",
-    config_factory=HelgrindConfig.hwlc,
-    detector_factory=HelgrindDetector,
-    capabilities=frozenset({"paper-eval"}),
-))
-register_profile(AnalysisProfile(
-    name="hwlc+dr",
-    description="HWLC plus destructor annotations — the paper's "
-    "headline configuration (§3.3)",
-    config_factory=HelgrindConfig.hwlc_dr,
-    detector_factory=HelgrindDetector,
-    capabilities=frozenset({"paper-eval"}),
-))
-register_profile(AnalysisProfile(
-    name="extended",
-    description="every extension on: queue/semaphore happens-before",
-    config_factory=HelgrindConfig.extended,
-    detector_factory=HelgrindDetector,
-))
-register_profile(AnalysisProfile(
-    name="raw-eraser",
-    description="the §2.3.2 Eraser ablation (no states, no segments)",
-    config_factory=HelgrindConfig.raw_eraser,
-    detector_factory=HelgrindDetector,
-))
-register_profile(AnalysisProfile(
-    name="eraser-states",
-    description="Eraser with the full Figure-1 state machine",
-    config_factory=HelgrindConfig.eraser_states,
-    detector_factory=HelgrindDetector,
-))
-register_profile(AnalysisProfile(
-    name="predictive",
-    description="hwlc+dr plus cross-thread lock sets, predicted races "
-    "and dynamic deadlock prediction (offline post-pass)",
-    config_factory=lambda: HelgrindConfig.hwlc_dr().with_(name="predictive"),
-    detector_factory=_predictive_detector,
-    capabilities=frozenset({"predictive"}),
-))
+
+# -- the registered tiers: name, description, config, detector ---------
+
+for _profile in (
+    AnalysisProfile(
+        "original", "Helgrind as shipped: mutex bus-lock model (§3)",
+        HelgrindConfig.original, HelgrindDetector,
+    ),
+    AnalysisProfile(
+        "hwlc", "corrected hardware bus-lock semantics (§3.2)",
+        HelgrindConfig.hwlc, HelgrindDetector,
+    ),
+    AnalysisProfile(
+        "hwlc+dr", "HWLC plus destructor annotations — the paper's "
+        "headline configuration (§3.3)",
+        HelgrindConfig.hwlc_dr, HelgrindDetector,
+    ),
+    AnalysisProfile(
+        "extended", "every extension on: queue/semaphore happens-before",
+        HelgrindConfig.extended, HelgrindDetector,
+    ),
+    AnalysisProfile(
+        "raw-eraser", "the §2.3.2 Eraser ablation (no states, no segments)",
+        HelgrindConfig.raw_eraser, HelgrindDetector,
+    ),
+    AnalysisProfile(
+        "eraser-states", "Eraser with the full Figure-1 state machine",
+        HelgrindConfig.eraser_states, HelgrindDetector,
+    ),
+    AnalysisProfile(
+        "predictive", "hwlc+dr plus cross-thread lock sets, predicted races "
+        "and dynamic deadlock prediction (offline post-pass)",
+        _on_hwlc_dr("predictive"), PredictiveDetector,
+    ),
+    AnalysisProfile(
+        "djit", "DJIT happens-before baseline: vector clocks, first "
+        "apparent race per word (§2.2)",
+        _on_hwlc_dr("djit"), _config_free(DjitDetector),
+    ),
+    AnalysisProfile(
+        "hybrid", "hybrid baseline: HWLC+DR lock-set nominations confirmed "
+        "by happens-before (§2.2)",
+        _on_hwlc_dr("hybrid"), HybridDetector,
+    ),
+    AnalysisProfile(
+        "racetrack", "RaceTrack baseline: adaptive threadset and lock set "
+        "(reference [16])",
+        _on_hwlc_dr("racetrack"), _config_free(RaceTrackDetector),
+    ),
+    AnalysisProfile(
+        "atomizer", "Atomizer baseline: reduction-based atomicity check of "
+        "atomic regions, HWLC+DR raciness oracle (reference [4])",
+        _on_hwlc_dr("atomizer"), AtomizerDetector,
+    ),
+):
+    register_profile(_profile)

@@ -33,6 +33,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.api import _case_by_id
+from repro.errors import ServiceError
+
 __all__ = ["main"]
 
 
@@ -137,11 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--detector",
-        choices=_STATS_DETECTORS,
-        default="helgrind",
+        choices=config_choices,
+        default="hwlc+dr",
         help=(
-            "detector for the instrumented deep-dive run performed when "
-            "--metrics-out/--trace-out is given (default: helgrind)"
+            "profile of the instrumented deep-dive run performed when "
+            "--metrics-out/--trace-out is given (default: hwlc+dr, the "
+            "sweep's own; any other adds a run per case)"
         ),
     )
     _add_telemetry_flags(p)
@@ -398,9 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one case instrumented; print pipeline telemetry",
     )
     p.add_argument("case_id", nargs="?", default="T1", choices=case_ids)
-    p.add_argument(
-        "--detector", choices=_STATS_DETECTORS, default="helgrind"
-    )
+    p.add_argument("--detector", choices=config_choices, default="hwlc+dr")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument(
         "--per-worker",
@@ -415,21 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stats)
 
     return parser
-
-
-#: Detectors the ``stats`` command (and ``report --detector``) can
-#: instrument.  "helgrind" runs the paper's HWLC+DR configuration;
-#: "lockset" is the raw §2.3.2 Eraser ablation; "predictive" is the
-#: offline prediction tier riding HWLC+DR.
-_STATS_DETECTORS = (
-    "helgrind",
-    "lockset",
-    "predictive",
-    "djit",
-    "racetrack",
-    "hybrid",
-    "atomizer",
-)
 
 
 def _add_cache_flag(p) -> None:
@@ -503,36 +490,6 @@ def _write_telemetry(telemetry, args) -> None:
         )
 
 
-def _stats_detector(name: str):
-    """Map a ``--detector`` choice to ``(detector instance, config name)``.
-
-    ``None`` as the instance means "let :func:`run_proxy_case` build the
-    Helgrind detector from the config" (the helgrind/lockset rows); the
-    baseline detectors are built here and run against the instrumented
-    (``hwlc+dr``) proxy build so destructor annotations are present.
-    """
-    if name == "helgrind":
-        return None, "hwlc+dr"
-    if name == "lockset":
-        return None, "raw-eraser"
-    if name == "predictive":
-        return None, "predictive"
-    from repro.detectors import (
-        AtomizerDetector,
-        DjitDetector,
-        HybridDetector,
-        RaceTrackDetector,
-    )
-
-    det = {
-        "djit": DjitDetector,
-        "racetrack": RaceTrackDetector,
-        "hybrid": HybridDetector,
-        "atomizer": AtomizerDetector,
-    }[name]()
-    return det, "hwlc+dr"
-
-
 def _cmd_figure6(args) -> int:
     from repro.experiments.figures import (
         figure5_decomposition,
@@ -566,15 +523,6 @@ def _cmd_figure6(args) -> int:
         return 1
     print("\nall of the paper's qualitative claims hold on this run.")
     return 0
-
-
-def _case_by_id(case_id: str):
-    from repro.sip.workload import evaluation_cases, predictive_cases
-
-    for case in (*evaluation_cases(), *predictive_cases()):
-        if case.case_id == case_id:
-            return case
-    raise SystemExit(f"unknown case {case_id}")
 
 
 def _cmd_case(args) -> int:
@@ -704,14 +652,12 @@ def _cmd_report(args) -> int:
             "only; studies and performance tiers skipped)"
         )
 
-    if telemetry is not None and args.detector != "helgrind":
-        # Deep-dive: the sweep itself is Helgrind; fold the requested
-        # baseline detector's view of the same case(s) into the snapshot.
-        det_cases = cases if cases else [_case_by_id("T1")]
-        for case in det_cases:
-            det, config = _stats_detector(args.detector)
+    if telemetry is not None and args.detector != "hwlc+dr":
+        # Deep-dive: the sweep itself runs hwlc+dr; fold the requested
+        # profile's view of the same case(s) into the snapshot.
+        for case in cases or [_case_by_id("T1")]:
             run_proxy_case(
-                case, config, seed=args.seed, detector=det, telemetry=telemetry
+                case, args.detector, seed=args.seed, telemetry=telemetry
             )
     _write_telemetry(telemetry, args)
 
@@ -812,21 +758,23 @@ def _auto_shards(trace_file) -> int:
     return shards
 
 
-def _trace_errors(cmd):
-    """A trace the codec rejects (``ValueError``, also from a shard
-    worker) ends the command with one stderr line and exit status 2."""
+def _typed_errors(cmd):
+    """An input the program rejects — a trace the codec refuses
+    (``ValueError``, also from a shard worker) or a server's ERROR
+    frame (``ServiceError``) — ends the command with one stderr line
+    and exit status 2."""
 
     def run(args) -> int:
         try:
             return cmd(args)
-        except ValueError as exc:
+        except (ValueError, ServiceError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
     return run
 
 
-@_trace_errors
+@_typed_errors
 def _cmd_trace_replay(args) -> int:
     """Feed a recorded trace through a fresh detector (§4.5 offline
     analysis).  The produced report is byte-identical to the live one —
@@ -892,7 +840,7 @@ def _cmd_trace_replay(args) -> int:
     return 0
 
 
-@_trace_errors
+@_typed_errors
 def _cmd_trace_stat(args) -> int:
     """Summarise a trace file (size, event mix, interning tables)."""
     from repro.runtime import codec
@@ -1081,6 +1029,7 @@ def _save_service_report(payload: bytes, path: str | None) -> None:
         print(f"service report: wrote {path}")
 
 
+@_typed_errors
 def _cmd_client_record(args) -> int:
     """Run one case live, encoding its event stream straight onto the
     service connection (nothing staged on disk), then fetch the report."""
@@ -1117,6 +1066,7 @@ def _cmd_client_record(args) -> int:
     return 0
 
 
+@_typed_errors
 def _cmd_client_report(args) -> int:
     """Stream a recorded trace to the service; the returned report is
     byte-identical to the offline ``repro trace replay`` one."""
@@ -1159,6 +1109,7 @@ def _print_snapshot_metrics(snapshot: dict) -> None:
             print(f"  {{{labels}}} {sample['value']:g}")
 
 
+@_typed_errors
 def _cmd_client_stat(args) -> int:
     """Print the service's metrics snapshot (``repro_service_*`` et al).
 
@@ -1193,12 +1144,11 @@ def _cmd_stats(args) -> int:
 
     case = _case_by_id(args.case_id)
     telemetry = Telemetry(trace=bool(args.trace_out))
-    det, config = _stats_detector(args.detector)
     run = run_proxy_case(
-        case, config, seed=args.seed, detector=det, telemetry=telemetry
+        case, args.detector, seed=args.seed, telemetry=telemetry
     )
     print(
-        f"{case.case_id} ({case.name}) under {args.detector} [{config}]: "
+        f"{case.case_id} ({case.name}) under {args.detector}: "
         f"{run.location_count} locations, {run.events} events, "
         f"{run.wall_seconds * 1e3:.0f} ms"
     )

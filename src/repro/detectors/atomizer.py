@@ -70,18 +70,19 @@ class AtomizerDetector(EventDispatcher):
     #: ``detector`` label value in the telemetry layer.
     telemetry_name = "atomizer"
 
-    def __init__(self, *, oracle_config: HelgrindConfig | None = None) -> None:
-        self.report = Report()
-        #: Eraser oracle deciding which accesses are both-movers.  Its
-        #: own report is ignored; only the shadow machine is consulted.
+    def __init__(
+        self, config: HelgrindConfig | None = None, *, suppressions=None
+    ) -> None:
+        self.report = Report(suppressions)
+        #: Eraser oracle deciding which accesses are both-movers (on
+        #: ``config``, HWLC+DR by default).  Its own report is ignored;
+        #: only the shadow machine is consulted.
         self._oracle = HelgrindDetector(
-            oracle_config or HelgrindConfig.hwlc_dr().with_(name="atomizer-oracle")
+            config or HelgrindConfig.hwlc_dr().with_(name="atomizer-oracle")
         )
         #: tid -> stack of open regions (outermost first).
         self._regions: dict[int, list[_Region]] = {}
         self.regions_checked = 0
-        #: Per-instance route cache (event type -> composed handler).
-        self._routes: dict[type, object] = {}
 
     # ------------------------------------------------------------------
 
@@ -90,19 +91,13 @@ class AtomizerDetector(EventDispatcher):
         classifies get a pre-oracle phase; everything else the oracle
         subscribes to streams straight through.  The classification
         always runs *before* the oracle mutates its shadow state."""
-        try:
-            return self._routes[event_type]
-        except KeyError:
-            pass
         own = {
             ClientRequest: self._on_client_request,
             LockAcquire: self._on_lock_acquire,
             LockRelease: self._on_lock_release,
             MemoryAccess: self._on_access,
         }.get(event_type)
-        fn = own if own is not None else self._oracle.handler_for(event_type)
-        self._routes[event_type] = fn
-        return fn
+        return own if own is not None else self._oracle.handler_for(event_type)
 
     @property
     def machine(self):

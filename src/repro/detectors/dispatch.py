@@ -27,8 +27,7 @@ The dispatch-table ABI replaces the cascade with registration:
   nothing on the memory-access fire-hose.
 
 * ``handle(event, vm)`` is still provided (routed through the same
-  table) so trace replay (:func:`repro.runtime.trace.replay`), tests
-  and composition keep working unchanged; hooks that only define
+  table) for feeding a detector by hand; hooks that only define
   ``handle`` (e.g. :class:`~repro.runtime.trace.TraceRecorder`) are
   subscribed to every event type, preserving the original ABI.
 
@@ -50,10 +49,6 @@ __all__ = ["handles", "EventDispatcher", "combine_handlers"]
 
 #: Signature of a bound event handler: ``fn(event, vm) -> None``.
 Handler = Callable[[object, object], None]
-
-#: Distinct-from-None sentinel for the per-instance ``handle`` cache
-#: ("not resolved yet" vs "resolved to not-interested").
-_UNRESOLVED = object()
 
 
 def handles(*event_types: type):
@@ -130,33 +125,23 @@ class EventDispatcher:
     def handle(self, event, vm) -> None:
         """Legacy single-entry ABI, routed through the dispatch table.
 
-        Kept for trace replay, tests, and feeding detectors by hand;
-        the VM itself routes via :meth:`handler_for`.  Resolution is
-        cached per instance so post-mortem replay pays one dict hit per
-        event, the same as the VM's own route cache — subscriptions are
-        configuration-static, so caching is safe.
+        Kept for feeding detectors by hand (tests).  The VM, trace
+        replay and sessions resolve :meth:`handler_for` once per event
+        type instead, so no detector caches a route: a composite's
+        fan-out closures never end up in its pickled state.
         """
-        try:
-            cache = self._handle_routes
-        except AttributeError:
-            cache = self._handle_routes = {}
-        etype = event.__class__
-        fn = cache.get(etype, _UNRESOLVED)
-        if fn is _UNRESOLVED:
-            fn = self.handler_for(etype)
-            cache[etype] = fn
+        fn = self.handler_for(event.__class__)
         if fn is not None:
             fn(event, vm)
 
-    def route_cache_info(self) -> dict[str, int]:
-        """Legacy-ABI route cache introspection (telemetry/tests).
+    def finalize(self) -> None:
+        """End-of-stream hook, idempotent.
 
-        ``resolved`` counts event types that went through
-        :meth:`handler_for` via :meth:`handle`; ``subscribed`` counts
-        how many of those resolved to an actual handler.
+        The on-the-fly detectors are complete after their last event,
+        so this is a no-op; the predictive tier
+        (:class:`repro.detectors.predict.PredictiveDetector`) overrides
+        it to run its offline post-pass and emit predicted findings.
+        Callers that may hold any detector (the CLI, the harness, the
+        service, sharded replay) call it unconditionally once the
+        event stream is known to be finished.
         """
-        cache = getattr(self, "_handle_routes", {})
-        return {
-            "resolved": len(cache),
-            "subscribed": sum(1 for fn in cache.values() if fn is not None),
-        }

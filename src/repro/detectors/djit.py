@@ -87,8 +87,9 @@ class DjitDetector(EventDispatcher):
         *,
         cond_hb: bool = True,
         atomic_aware: bool = True,
+        suppressions=None,
     ) -> None:
-        self.report = Report()
+        self.report = Report(suppressions)
         self.cond_hb = cond_hb
         #: Modern (C11/TSan) semantics: two bus-locked accesses never
         #: race with each other (an atomic counter is synchronisation,

@@ -686,18 +686,6 @@ class HelgrindDetector(EventDispatcher):
         """Current lock-set of ``tid`` (any mode) — for tests."""
         return self._held_for(tid).any_
 
-    def finalize(self) -> None:
-        """End-of-stream hook, idempotent.
-
-        The on-the-fly tiers are complete after their last event, so
-        this is a no-op; the predictive tier
-        (:class:`repro.detectors.predict.PredictiveDetector`) overrides
-        it to run its offline post-pass and emit predicted findings.
-        Callers that may hold either kind of detector (the CLI, the
-        harness, the service, sharded replay) call it unconditionally
-        once the event stream is known to be finished.
-        """
-
     def predict_stats(self) -> dict[str, int]:
         """Counters behind the ``repro_predict_*`` telemetry families.
 

@@ -61,37 +61,29 @@ class HybridDetector(EventDispatcher):
         config: HelgrindConfig | None = None,
         *,
         cond_hb: bool = False,
+        suppressions=None,
     ) -> None:
         self.config = config or HelgrindConfig(
             name="hybrid", bus_lock_model=BusLockModel.RWLOCK, honor_destruct=True
         )
         self._lockset = HelgrindDetector(self.config)
         self._hb = DjitDetector(cond_hb=cond_hb)
-        self.report = Report()
+        self.report = Report(suppressions)
         self._last: dict[int, _LastConflict] = {}
         #: Nominations vetoed because the accesses were ordered.
         self.vetoed = 0
-        #: Per-instance route cache (event type -> composed handler).
-        self._routes: dict[type, object] = {}
 
     def handler_for(self, event_type):
         """Dispatch-table ABI: accesses are handled here; every other
         event type fans out to whichever inner engines subscribe to it
         (the composition the old ``isinstance`` gate expressed)."""
-        try:
-            return self._routes[event_type]
-        except KeyError:
-            pass
         if event_type is MemoryAccess:
-            fn = self._on_access
-        else:
-            # Non-access events drive both engines' shadow state.
-            fn = combine_handlers(
-                self._lockset.handler_for(event_type),
-                self._hb.handler_for(event_type),
-            )
-        self._routes[event_type] = fn
-        return fn
+            return self._on_access
+        # Non-access events drive both engines' shadow state.
+        return combine_handlers(
+            self._lockset.handler_for(event_type),
+            self._hb.handler_for(event_type),
+        )
 
     @property
     def machine(self):

@@ -323,6 +323,14 @@ def replay_trace_sharded(
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    from repro.api.profiles import profile
+    from repro.detectors.helgrind import HelgrindDetector
+
+    if not isinstance(profile(config).detector(), HelgrindDetector):
+        raise ValueError(
+            f"profile {config!r} cannot be sharded: its detector keeps no "
+            "lock-set shadow pages to partition"
+        )
     path = Path(path)
     if not codec.is_binary_trace(path):
         raise ValueError(

@@ -75,8 +75,8 @@ class RaceTrackDetector(EventDispatcher):
     #: ``detector`` label value in the telemetry layer.
     telemetry_name = "racetrack"
 
-    def __init__(self, *, atomic_aware: bool = True) -> None:
-        self.report = Report()
+    def __init__(self, *, atomic_aware: bool = True, suppressions=None) -> None:
+        self.report = Report(suppressions)
         self.atomic_aware = atomic_aware
         #: Vector-clock engine, fed every non-access event.
         self._hb = DjitDetector()
@@ -84,8 +84,6 @@ class RaceTrackDetector(EventDispatcher):
         #: original RaceTrack has no rw refinement either).
         self._held: dict[int, set[int]] = {}
         self._state: dict[int, _TrackState] = {}
-        #: Per-instance route cache (event type -> composed handler).
-        self._routes: dict[type, object] = {}
 
     # ------------------------------------------------------------------
 
@@ -93,25 +91,18 @@ class RaceTrackDetector(EventDispatcher):
         """Dispatch-table ABI: accesses stay here; lock events update
         the held-set *then* feed the vector-clock engine; every other
         type goes to the engine alone (if it subscribes)."""
-        try:
-            return self._routes[event_type]
-        except KeyError:
-            pass
         if event_type is MemoryAccess:
-            fn = self._on_access
-        elif event_type is LockAcquire:
-            fn = combine_handlers(
+            return self._on_access
+        if event_type is LockAcquire:
+            return combine_handlers(
                 self._on_lock_acquire, self._hb.handler_for(event_type)
             )
-        elif event_type is LockRelease:
-            fn = combine_handlers(
+        if event_type is LockRelease:
+            return combine_handlers(
                 self._on_lock_release, self._hb.handler_for(event_type)
             )
-        else:
-            # Vector clocks (threads, queues, semaphores, barriers, ...).
-            fn = self._hb.handler_for(event_type)
-        self._routes[event_type] = fn
-        return fn
+        # Vector clocks (threads, queues, semaphores, barriers, ...).
+        return self._hb.handler_for(event_type)
 
     def _on_lock_acquire(self, event: LockAcquire, vm=None) -> None:
         self._held.setdefault(event.tid, set()).add(event.lock_id)

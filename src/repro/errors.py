@@ -36,6 +36,8 @@ The hierarchy is intentionally shallow and mirrors the package layout:
   * :class:`SipParseError` — malformed SIP message on the simulated wire
     (:mod:`repro.sip.parser`).
   * :class:`WorkloadError` — invalid experiment / workload configuration.
+  * :class:`ServiceError` — the analysis service answered a client with
+    an ERROR frame, or hung up mid-call (:mod:`repro.service.client`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "SuppressionSyntaxError",
     "SipParseError",
     "WorkloadError",
+    "ServiceError",
 ]
 
 
@@ -139,3 +142,7 @@ class SipParseError(ReproError):
 
 class WorkloadError(ReproError):
     """An experiment or workload was configured inconsistently."""
+
+
+class ServiceError(ReproError):
+    """The server replied with an ERROR frame (or hung up mid-call)."""

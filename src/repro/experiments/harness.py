@@ -136,25 +136,19 @@ def run_proxy_case(
         step_limit=step_limit,
         telemetry=telemetry if instrumented else None,
     )
-    def _finalize() -> None:
-        # End-of-stream hook: the predictive tier's offline post-pass
-        # runs here (a no-op for every live-only detector).  Must
-        # precede the telemetry harvest — predicted warnings and the
-        # repro_predict_* counters land at finalize time.
-        finalize = getattr(det, "finalize", None)
-        if finalize is not None:
-            finalize()
-
     start = time.perf_counter()
+    # The end-of-stream pass (the predictive tier's predictions) runs
+    # before the telemetry harvest: predicted warnings and the
+    # repro_predict_* counters land at finalize time.
     if instrumented:
         telemetry.attach(vm)
         with telemetry.phase(f"{case.case_id}/{config_name}"):
             proxy_result = vm.run(proxy.main, case.wires)
-        _finalize()
+        det.finalize()
         telemetry.record_run(vm, label=f"{case.case_id}/{config_name}")
     else:
         proxy_result = vm.run(proxy.main, case.wires)
-        _finalize()
+        det.finalize()
     wall = time.perf_counter() - start
     return ExperimentRun(
         case_id=case.case_id,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.detectors import DjitDetector, HelgrindConfig, HelgrindDetector
+from repro.api.profiles import profile
 from repro.runtime import VM, RoundRobinScheduler
 from repro.runtime.trace import TraceRecorder, replay
 
@@ -131,6 +131,23 @@ class PerformanceReport:
         return "\n".join(lines)
 
 
+#: Printed tier label -> the analysis profile of its detector (``None``:
+#: the VM alone).
+_TIERS = {
+    "vm-only": None,
+    "helgrind": "hwlc+dr",
+    "helgrind-orig": "original",
+    "helgrind-hwlc+dr": "hwlc+dr",
+    "djit": "djit",
+}
+
+
+def _hooks(tier: str) -> tuple:
+    """A fresh detector for ``tier`` (none for the VM-only tier)."""
+    name = _TIERS[tier]
+    return (profile(name).detector(),) if name is not None else ()
+
+
 def _best_of(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -152,22 +169,16 @@ def measure_performance(
 
     events = 0
 
-    def run_vm(make_detector=None):
+    def run_vm(tier: str):
         nonlocal events
-        hooks = (make_detector(),) if make_detector else ()
-        vm = VM(scheduler=RoundRobinScheduler(), detectors=hooks)
+        vm = VM(scheduler=RoundRobinScheduler(), detectors=_hooks(tier))
         vm.run(workload_guest, n_threads, iterations)
         events = vm.stats.total_events
 
-    vm_only = _best_of(lambda: run_vm(), repeats)
-    factories = {
-        "helgrind": lambda: HelgrindDetector(HelgrindConfig.hwlc_dr()),
-        "helgrind-orig": lambda: HelgrindDetector(HelgrindConfig.original()),
-        "djit": DjitDetector,
-    }
+    vm_only = _best_of(lambda: run_vm("vm-only"), repeats)
     detector_seconds = {}
     for name in detectors:
-        detector_seconds[name] = _best_of(lambda: run_vm(factories[name]), repeats)
+        detector_seconds[name] = _best_of(lambda: run_vm(name), repeats)
     return PerformanceReport(
         native_seconds=native,
         vm_seconds=vm_only,
@@ -176,21 +187,14 @@ def measure_performance(
     )
 
 
-#: Detector factories for the throughput tiers (``None`` = VM only).
-_THROUGHPUT_TIERS = {
-    "vm-only": None,
-    "helgrind-orig": lambda: HelgrindDetector(HelgrindConfig.original()),
-    "helgrind-hwlc+dr": lambda: HelgrindDetector(HelgrindConfig.hwlc_dr()),
-    "djit": DjitDetector,
-}
-
-
 def measure_event_throughput(
     *,
     n_threads: int = 4,
     iterations: int = 200,
     repeats: int = 3,
-    tiers: tuple[str, ...] = tuple(_THROUGHPUT_TIERS),
+    tiers: tuple[str, ...] = (
+        "vm-only", "helgrind-orig", "helgrind-hwlc+dr", "djit",
+    ),
     breakdown: bool = False,
 ) -> dict[str, dict[str, float]]:
     """Events/second through ``VM.emit`` per analysis tier (E7 fast path).
@@ -215,13 +219,11 @@ def measure_event_throughput(
     """
     out: dict[str, dict[str, float]] = {}
     for name in tiers:
-        factory = _THROUGHPUT_TIERS[name]
         events = 0
 
         def run() -> None:
             nonlocal events
-            hooks = (factory(),) if factory is not None else ()
-            vm = VM(scheduler=RoundRobinScheduler(), detectors=hooks)
+            vm = VM(scheduler=RoundRobinScheduler(), detectors=_hooks(name))
             vm.run(workload_guest, n_threads, iterations)
             events = vm.stats.total_events
 
@@ -233,7 +235,7 @@ def measure_event_throughput(
         }
         if breakdown:
             out[name].update(
-                _throughput_breakdown(factory, n_threads, iterations)
+                _throughput_breakdown(name, n_threads, iterations)
             )
     if "vm-only" in out:
         base = out["vm-only"]["seconds"]
@@ -243,7 +245,7 @@ def measure_event_throughput(
 
 
 def _throughput_breakdown(
-    factory, n_threads: int, iterations: int
+    tier: str, n_threads: int, iterations: int
 ) -> dict[str, float]:
     """One instrumented run decomposed into VM / dispatch / detector time.
 
@@ -256,8 +258,10 @@ def _throughput_breakdown(
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry()
-    hooks = (factory(),) if factory is not None else ()
-    vm = VM(scheduler=RoundRobinScheduler(), detectors=hooks, telemetry=telemetry)
+    vm = VM(
+        scheduler=RoundRobinScheduler(), detectors=_hooks(tier),
+        telemetry=telemetry,
+    )
     telemetry.attach(vm, time_emit=True)
     start = time.perf_counter()
     vm.run(workload_guest, n_threads, iterations)
@@ -286,7 +290,7 @@ def trace_cost(
     vm = VM(detectors=(recorder,))
     vm.run(workload_guest, n_threads, iterations)
     start = time.perf_counter()
-    replay(recorder.events, HelgrindDetector(HelgrindConfig.hwlc_dr()))
+    replay(recorder.events, profile("hwlc+dr").detector())
     replay_seconds = time.perf_counter() - start
     return {
         "events": float(len(recorder)),

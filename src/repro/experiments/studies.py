@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.detectors import (
-    DjitDetector,
-    HelgrindConfig,
-    HelgrindDetector,
-    HybridDetector,
-    RaceTrackDetector,
-)
+from repro.api.profiles import profile
 from repro.runtime import VM, RandomScheduler, StickyScheduler
 
 __all__ = [
@@ -111,7 +105,7 @@ def false_negative_study(
     """
     study = FalseNegativeStudy()
     for seed in seeds:
-        det = HelgrindDetector(HelgrindConfig.hwlc())
+        det = profile("hwlc").detector()
         vm = VM(
             detectors=(det,),
             scheduler=StickyScheduler(seed=seed, switch_prob=sticky_prob),
@@ -197,15 +191,16 @@ def ablation_study() -> AblationStudy:
         "init-then-share": _init_then_share_program,
         "create-join-handoff": _create_join_handoff_program,
     }
-    configs = {
-        "raw-eraser": HelgrindConfig.raw_eraser(),
-        "eraser-states": HelgrindConfig.eraser_states(),
-        "helgrind": HelgrindConfig.original(),
+    # Column -> the profile of that refinement level.
+    levels = {
+        "raw-eraser": "raw-eraser",
+        "eraser-states": "eraser-states",
+        "helgrind": "original",
     }
     for wname, workload in workloads.items():
         row = {}
-        for cname, config in configs.items():
-            det = HelgrindDetector(config)
+        for cname, name in levels.items():
+            det = profile(name).detector()
             VM(detectors=(det,)).run(workload)
             row[cname] = det.report.location_count
         study.counts[wname] = row
@@ -280,14 +275,15 @@ class BaselineStudy:
 def baseline_study(*, seed: int = 7) -> BaselineStudy:
     """Run the mixed workload under all four detector families."""
 
-    def addrs_of(detector):
+    def addrs_of(name: str):
+        detector = profile(name).detector()
         vm = VM(detectors=(detector,), scheduler=RandomScheduler(seed))
         vm.run(_mixed_discipline_program)
         return frozenset(w.addr for w in detector.report if w.addr is not None)
 
     return BaselineStudy(
-        lockset_addrs=addrs_of(HelgrindDetector(HelgrindConfig.hwlc())),
-        djit_addrs=addrs_of(DjitDetector()),
-        hybrid_addrs=addrs_of(HybridDetector()),
-        racetrack_addrs=addrs_of(RaceTrackDetector()),
+        lockset_addrs=addrs_of("hwlc"),
+        djit_addrs=addrs_of("djit"),
+        hybrid_addrs=addrs_of("hybrid"),
+        racetrack_addrs=addrs_of("racetrack"),
     )

@@ -280,13 +280,16 @@ class ReplayVM:
 def replay(events: Iterable[Event], *detectors, vm=None) -> None:
     """Feed a recorded event stream through detectors (post-mortem mode).
 
-    ``vm`` is passed through to the hooks; detectors that only consult
-    the event stream (all of ours — they keep their own shadow state)
+    Each hook's handlers are resolved once per event type
+    (:func:`build_handler_table`), as a live run resolves them.  ``vm``
+    is passed through to the hooks; detectors that only consult the
+    event stream (all of ours — they keep their own shadow state)
     accept ``None``.
     """
+    routes = dict(zip(EVENT_TYPES, build_handler_table(detectors, vm)))
     for event in events:
-        for detector in detectors:
-            detector.handle(event, vm)
+        for fn in routes[type(event)]:
+            fn(event, vm)
 
 
 def build_handler_table(hooks, vm=None) -> list[tuple]:

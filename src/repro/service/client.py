@@ -22,16 +22,13 @@ import json
 import socket
 from pathlib import Path
 
+from repro.errors import ServiceError
 from repro.service import protocol
 
 __all__ = ["AnalysisClient", "ServiceError", "fetch_report"]
 
 #: Default DATA chunk size for file/live streaming.
 DEFAULT_CHUNK_BYTES = 32 * 1024
-
-
-class ServiceError(Exception):
-    """The server replied with an ERROR frame (or hung up mid-call)."""
 
 
 class AnalysisClient:

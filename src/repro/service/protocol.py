@@ -55,6 +55,7 @@ __all__ = [
     "ProtocolError",
     "decode_json",
     "frame_name",
+    "hello_id",
     "send_frame",
     "send_json",
     # frame types
@@ -173,3 +174,19 @@ def decode_json(payload: bytes) -> dict:
     if not isinstance(obj, dict):
         raise ProtocolError("control payload must be a JSON object")
     return obj
+
+
+def hello_id(hello: dict, key: str) -> str | None:
+    """A session id carried by a HELLO — ``"session"`` (resume) or the
+    acceptor's ``"assign"`` — or ``None`` when the key is absent.
+
+    Checked here, before the id is hashed, looked up or joined into a
+    checkpoint path: an id that is not a string is a
+    :class:`ProtocolError`, so the client gets an ERROR frame.
+    """
+    value = hello.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ProtocolError(
+            f"HELLO {key} must be a string, not {type(value).__name__}"
+        )
+    return value

@@ -524,7 +524,7 @@ class AnalysisServer:
 
     def _open_session(self, conn, hello: dict) -> ServiceSession:
         """Build a fresh session, or resume one from its checkpoint."""
-        resume_id = hello.get("session")
+        resume_id = protocol.hello_id(hello, "session")
         if resume_id is not None:
             session = self._resume_session(
                 conn, resume_id, trace=hello.get("trace")
@@ -583,7 +583,7 @@ class AnalysisServer:
     def _fresh_session(self, conn, hello: dict) -> ServiceSession:
         config = hello.get("config", "hwlc+dr")
         profile(config)  # validate before allocating anything
-        assigned = hello.get("assign")
+        assigned = protocol.hello_id(hello, "assign")
         with self._sessions_lock:
             if assigned is not None:
                 # The sharded acceptor owns the id space and routed

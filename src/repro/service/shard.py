@@ -618,7 +618,7 @@ class ShardedAnalysisServer:
     def _route(self, conn: socket.socket, hello: dict,
                reader: protocol.FrameReader) -> None:
         """Consistent-hash the session id and hand the connection over."""
-        session_id = hello.get("session")
+        session_id = protocol.hello_id(hello, "session")
         if session_id is None:
             # Fresh session: the acceptor assigns the id (so it can
             # route before any worker is involved) and validates the

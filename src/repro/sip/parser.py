@@ -16,6 +16,8 @@ error path.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import SipParseError
 from repro.sip.message import Header, SipMessage
 
@@ -23,18 +25,22 @@ __all__ = ["parse_message", "serialize_message"]
 
 _VERSION = "SIP/2.0"
 
+#: The empty line that ends the head, with CRLF or bare LF endings.
+_BLANK_LINE = re.compile(r"\r?\n\r?\n")
+
 
 def parse_message(wire: str) -> SipMessage:
     """Parse one SIP message from its wire text."""
     if not wire or not wire.strip():
         raise SipParseError("empty message")
-    # Normalise line endings; SIPp uses CRLF.
-    text = wire.replace("\r\n", "\n")
-    if "\n\n" in text:
-        head, body = text.split("\n\n", 1)
+    # Only the head's line endings are normalised (SIPp uses CRLF): the
+    # body is opaque, and Content-Length counts it as sent.
+    blank = _BLANK_LINE.search(wire)
+    if blank is None:
+        head, body = wire, ""
     else:
-        head, body = text, ""
-    lines = head.split("\n")
+        head, body = wire[: blank.start()], wire[blank.end():]
+    lines = head.replace("\r\n", "\n").split("\n")
     start = lines[0].strip()
     headers = _parse_headers(lines[1:])
     message = _parse_start_line(start)

@@ -6,11 +6,14 @@ measure against: every report the service produces must equal the
 offline ``repro trace replay`` report byte-for-byte, whatever process
 the session happened to land on.  ``predictive_traces`` does the same
 for the latent-bug cases T9 and T10 under the ``predictive`` profile.
+``BAD_HELLOS`` and :func:`raw_hello` drive both kinds of server with
+HELLO bodies whose fields have the wrong JSON type.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -18,9 +21,34 @@ from repro.api import Pipeline
 from repro.api.profiles import profile
 from repro.detectors import HelgrindDetector
 from repro.runtime.trace import replay_trace
+from repro.service import protocol
 
 CASES = ("T1", "T2", "T3")
 CONFIGS = ("original", "hwlc", "hwlc+dr")
+
+#: ``name: (HELLO body, text the ERROR frame must carry)`` — each field
+#: the server hashes, looks up or joins into a path, sent as a JSON type
+#: it cannot use.
+BAD_HELLOS = {
+    "config-list": ({"config": ["x"]}, "unknown detector configuration"),
+    "config-object": ({"config": {"a": 1}}, "unknown detector configuration"),
+    "session-int": ({"session": 5}, "HELLO session must be a string"),
+    "session-list": ({"session": ["x"]}, "HELLO session must be a string"),
+}
+
+
+def raw_hello(socket_path: str, body: dict) -> tuple[int, dict] | None:
+    """Send ``body`` as a HELLO exactly as given; the server's first
+    answer as ``(frame type, JSON body)``, ``None`` if it hung up."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10.0)
+        sock.connect(socket_path)
+        protocol.send_json(sock, protocol.HELLO, body)
+        frame = protocol.FrameReader(sock).read()
+    if frame is None:
+        return None
+    ftype, payload = frame
+    return ftype, protocol.decode_json(payload)
 
 
 @pytest.fixture(scope="package")

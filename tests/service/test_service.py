@@ -8,13 +8,16 @@ The contracts under test are the tentpole's acceptance criteria:
 * a **killed** server (no drain) resumes a checkpointed session
   mid-stream and still produces the identical report, and a damaged
   checkpoint file fails its resume with an ERROR frame;
+* a HELLO whose ``config`` or ``session`` has the wrong JSON type gets
+  an ERROR frame, and the server goes on serving;
 * a session opened as ``predictive`` reports what an offline
   predictive replay reports, predictions included;
 * the per-session ingest queue **never buffers more than the
   configured bound** and credit exhaustion is visible as
   ``repro_service_backpressure_stalls_total``;
 * the CLI round trip (``repro client report``/``stat``) works over a
-  unix socket against an in-process server.
+  unix socket against an in-process server, and a server ERROR frame
+  ends the command with one ``error:`` line and exit status 2.
 
 Servers run in-process (threads), so each test owns its lifecycle and
 nothing leaks between tests.
@@ -38,9 +41,15 @@ from repro.service import (
     CheckpointStore,
     ServiceError,
     fetch_report,
+    protocol,
 )
 
-from tests.service.conftest import CASES, CONFIGS  # shared with test_shard
+from tests.service.conftest import (  # shared with test_shard
+    BAD_HELLOS,
+    CASES,
+    CONFIGS,
+    raw_hello,
+)
 
 
 @pytest.fixture
@@ -135,6 +144,33 @@ class TestErrors:
         with AnalysisClient(socket_path=unix_server.address) as client:
             with pytest.raises(ServiceError):
                 client.hello(session="s0001")
+
+    @pytest.mark.parametrize(
+        "checkpoints", [False, True], ids=["no-checkpoints", "checkpoints"]
+    )
+    def test_mistyped_hello_is_an_error_frame(
+        self, tmp_path, traces, checkpoints
+    ):
+        """Each HELLO field with the wrong JSON type is answered with an
+        ERROR frame instead of killing the connection's reader thread,
+        and the same server then serves a byte-identical report."""
+        path, reference = traces[("T1", "hwlc+dr")]
+        server = AnalysisServer(
+            socket_path=str(tmp_path / "a.sock"),
+            workers=1,
+            checkpoint_dir=str(tmp_path / "ck") if checkpoints else None,
+        )
+        server.start()
+        try:
+            for name, (body, message) in BAD_HELLOS.items():
+                answer = raw_hello(server.address, body)
+                assert answer is not None, f"{name}: no ERROR frame"
+                ftype, reply = answer
+                assert ftype == protocol.ERROR, name
+                assert message in reply["error"], name
+            assert fetch_report(path, socket_path=server.address) == reference
+        finally:
+            server.shutdown(drain=True, timeout=10.0)
 
     def test_data_before_hello(self, unix_server):
         with AnalysisClient(socket_path=unix_server.address) as client:
@@ -600,6 +636,45 @@ class TestCliClient:
         assert "streamed" in printed
         report = json.loads(out.read_bytes())
         assert report["warnings"]
+
+    def test_server_error_frame_is_one_line(self, unix_server, tmp_path, capsys):
+        """The server's ERROR frame ends ``client report`` with one
+        ``error:`` line on stderr and exit status 2, as ``trace replay``
+        ends on the same file."""
+        from repro.cli import main
+
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(b'{"type":"MemoryAccess"}\n')
+        assert main([
+            "client", "report", str(trace), "--socket", unix_server.address,
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: not a binary trace (bad magic)\n"
+        )
+
+    def test_corrupt_checkpoint_resume_is_one_line(self, tmp_path, traces, capsys):
+        from repro.cli import main
+
+        path, _reference = traces[("T1", "hwlc+dr")]
+        ckpt_dir = tmp_path / "ck"
+        ckpt_dir.mkdir()
+        (ckpt_dir / "s0042.ckpt").write_bytes(b"abc")
+        server = AnalysisServer(
+            socket_path=str(tmp_path / "a.sock"),
+            workers=1,
+            checkpoint_dir=str(ckpt_dir),
+        )
+        server.start()
+        try:
+            assert main([
+                "client", "report", str(path), "--session", "s0042",
+                "--socket", server.address,
+            ]) == 2
+        finally:
+            server.shutdown(drain=True, timeout=10.0)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: corrupt checkpoint")
+        assert err.count("\n") == 1
 
     def test_endpoint_validation(self):
         from repro.cli import main

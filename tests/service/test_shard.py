@@ -37,9 +37,10 @@ from repro.service import (
     HashRing,
     ShardedAnalysisServer,
     fetch_report,
+    protocol,
 )
 
-from tests.service.conftest import CASES
+from tests.service.conftest import BAD_HELLOS, CASES, raw_hello
 
 
 def _metric_sum(snapshot: dict, name: str) -> float:
@@ -95,6 +96,27 @@ class TestHashRing:
 
 
 class TestShardedUnix:
+    def test_mistyped_hello_is_an_error_frame(self, tmp_path, traces):
+        """The acceptor answers each HELLO field with the wrong JSON
+        type with an ERROR frame — its handshake thread, which hashes
+        the session id, survives — and the service then serves a
+        byte-identical report."""
+        path, reference = traces[("T1", "hwlc+dr")]
+        server = ShardedAnalysisServer(
+            socket_path=str(tmp_path / "shard.sock"), workers=1, threads=1
+        )
+        server.start()
+        try:
+            for name, (body, message) in BAD_HELLOS.items():
+                answer = raw_hello(server.address, body)
+                assert answer is not None, f"{name}: no ERROR frame"
+                ftype, reply = answer
+                assert ftype == protocol.ERROR, name
+                assert message in reply["error"], name
+            assert fetch_report(path, socket_path=server.address) == reference
+        finally:
+            server.shutdown(drain=True, timeout=30.0)
+
     def test_concurrent_sessions_byte_identical_and_merged_stats(
         self, tmp_path, traces
     ):
@@ -294,14 +316,25 @@ class TestShutdownOrder:
         out from under it afterwards."""
         path, reference = traces[("T1", "hwlc+dr")]
         sock_path = str(tmp_path / "same.sock")
-        old = AnalysisServer(
-            socket_path=sock_path, workers=1,
-            queue_blocks=2, throttle=0.05,
-        )
+        old = AnalysisServer(socket_path=sock_path, workers=1, queue_blocks=2)
         old.start()
         client = AnalysisClient(socket_path=sock_path, chunk_bytes=2048)
         client.hello("hwlc+dr")
-        client.stream_file(path)  # queued work makes the drain slow
+        # The old server analyses the trace's last chunk only once the
+        # new server has bound, so its drain is still running then
+        # however loaded the host is.
+        session = old._sessions[client.session_id]
+        size = path.stat().st_size
+        bound = threading.Event()
+        feed = session.api.feed
+
+        def held_feed(data: bytes) -> int:
+            if session.api.bytes_fed + len(data) == size:
+                bound.wait(30)
+            return feed(data)
+
+        session.api.feed = held_feed
+        client.stream_file(path)
 
         drainer = threading.Thread(
             target=lambda: old.shutdown(drain=True, timeout=30.0)
@@ -314,6 +347,7 @@ class TestShutdownOrder:
 
             new = AnalysisServer(socket_path=sock_path, workers=1)
             new.start()
+            bound.set()
             try:
                 drainer.join(timeout=30)
                 assert not drainer.is_alive()
@@ -324,6 +358,7 @@ class TestShutdownOrder:
             finally:
                 new.shutdown(drain=True, timeout=10.0)
         finally:
+            bound.set()
             client.close()
             drainer.join(timeout=30)
 

@@ -40,6 +40,16 @@ class TestParsing:
         msg = parse_message(INVITE_WIRE)
         assert msg.body == "v=0\n"
 
+    def test_crlf_body_is_kept_verbatim(self):
+        """A multi-line (SDP-style) body keeps its CRLFs, which its
+        Content-Length counts."""
+        body = "v=0\r\no=- s=call\r\n"
+        wire = INVITE_WIRE.replace(
+            "Content-Length: 4\r\n\r\nv=0\n",
+            f"Content-Length: {len(body)}\r\n\r\n{body}",
+        )
+        assert parse_message(wire).body == body
+
     def test_response_line(self):
         msg = parse_message("SIP/2.0 200 OK\r\nVia: x\r\n\r\n")
         assert msg.is_response

@@ -34,8 +34,8 @@ from repro.detectors import HelgrindConfig, HelgrindDetector
 from repro.runtime.trace import replay_trace
 
 ALL_PROFILES = (
-    "eraser-states", "extended", "hwlc", "hwlc+dr",
-    "original", "predictive", "raw-eraser",
+    "atomizer", "djit", "eraser-states", "extended", "hwlc", "hwlc+dr",
+    "hybrid", "original", "predictive", "racetrack", "raw-eraser",
 )
 
 
@@ -74,12 +74,6 @@ class TestProfiles:
         assert tuple(p.name for p in profiles()) == ALL_PROFILES
         assert all(p.description for p in profiles())
 
-    def test_capabilities(self):
-        for name in ("original", "hwlc", "hwlc+dr"):
-            assert "paper-eval" in profile(name).capabilities
-        assert profile("predictive").predictive
-        assert not profile("hwlc+dr").predictive
-
     def test_predictive_builds_its_own_detector_class(self):
         from repro.detectors.predict import PredictiveDetector
 
@@ -88,6 +82,14 @@ class TestProfiles:
         legacy = profile("hwlc+dr").detector()
         assert isinstance(legacy, HelgrindDetector)
         assert not isinstance(legacy, PredictiveDetector)
+
+    @pytest.mark.parametrize("name", ALL_PROFILES)
+    def test_detector_report_honours_suppressions(self, name):
+        from repro.detectors.suppressions import Suppressions
+
+        sup = Suppressions([])
+        det = profile(name).detector(suppressions=sup)
+        assert det.report.suppressions is sup
 
     def test_names_map_to_distinct_feature_sets(self):
         original = profile("original").config()

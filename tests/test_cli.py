@@ -67,7 +67,7 @@ class TestCli:
     def test_stats_prints_console_summary(self, capsys):
         assert main(["stats", "T1"]) == 0
         out = capsys.readouterr().out
-        assert "T1" in out and "under helgrind" in out
+        assert "T1" in out and "under hwlc+dr" in out
         assert "events (" in out
         assert "dispatch routes" in out
         assert "state transitions" in out
@@ -255,6 +255,20 @@ class TestCli:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err == "error: not a binary trace (bad magic)\n", argv
+
+    def test_sharded_replay_needs_a_lockset_profile(self, tmp_path, capsys):
+        """A baseline profile replays a trace like any other, but its
+        detector keeps no lock-set pages to partition: ``--shards 2``
+        is one typed error, not a crash in a shard worker."""
+        trace = tmp_path / "t1.rptr"
+        assert main(["trace", "record", "T1", "djit", "-o", str(trace)]) == 0
+        assert main(["trace", "replay", str(trace), "djit"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "replay", str(trace), "djit", "--shards", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: profile 'djit' cannot be sharded: its detector keeps "
+            "no lock-set shadow pages to partition\n"
+        )
 
     def test_trace_replay_shards_rejects_garbage(self, capsys):
         with pytest.raises(SystemExit):

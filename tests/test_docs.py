@@ -65,6 +65,18 @@ class TestGuestApiDoc:
             assert hasattr(GuestAPI, method.split("(")[0]), method
 
 
+class TestApiDoc:
+    def test_profile_table_is_the_registry(self):
+        """The profile table in docs/API.md lists every registered
+        profile, in order, with its registry description."""
+        from repro.api.profiles import profiles
+
+        text = (DOCS / "API.md").read_text(encoding="utf-8")
+        section = text.split("## `repro.api.profiles`", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", section, re.M)
+        assert rows == [(p.name, p.description) for p in profiles()]
+
+
 class TestReadme:
     def test_quickstart_block_runs(self):
         blocks = _code_blocks(ROOT / "README.md", "python")
