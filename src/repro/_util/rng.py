@@ -60,10 +60,22 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def choice(self, seq):
-        """Uniform choice from a non-empty sequence."""
-        if not seq:
+        """Uniform choice from a non-empty sequence.
+
+        Draws as ``seq[self.randrange(len(seq))]`` would, with the draw
+        written out: the schedulers make one choice per trap.
+        """
+        n = len(seq)
+        if not n:
             raise IndexError("choice from empty sequence")
-        return seq[self.randrange(len(seq))]
+        limit = _MASK64 - (_MASK64 % n)
+        state = self._state
+        while True:
+            state = (state + _GOLDEN) & _MASK64
+            value = _mix(state)
+            if value < limit:
+                self._state = state
+                return seq[value % n]
 
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle."""

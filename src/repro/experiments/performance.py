@@ -148,13 +148,31 @@ def _hooks(tier: str) -> tuple:
     return (profile(name).detector(),) if name is not None else ()
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
+def _best_of(runs, repeats: int) -> list[float]:
+    """Best-of-``repeats`` seconds of each run, timed round-robin.
+
+    Each repeat runs every one once, so a slow spell of the host lands
+    on all of them instead of on the one whose repeats it overlaps.
+    """
+    best = [float("inf")] * len(runs)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for i, run in enumerate(runs):
+            start = time.perf_counter()
+            run()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
+
+
+def _tier_run(tier: str, n_threads: int, iterations: int, events: dict):
+    """One VM run of the workload under ``tier``, for :func:`_best_of`;
+    it records its event count in ``events[tier]``."""
+
+    def run() -> None:
+        vm = VM(scheduler=RoundRobinScheduler(), detectors=_hooks(tier))
+        vm.run(workload_guest, n_threads, iterations)
+        events[tier] = vm.stats.total_events
+
+    return run
 
 
 def measure_performance(
@@ -165,25 +183,20 @@ def measure_performance(
     detectors: tuple[str, ...] = ("helgrind", "djit"),
 ) -> PerformanceReport:
     """Measure all tiers; returns best-of-``repeats`` per tier."""
-    native = _best_of(lambda: workload_native(n_threads, iterations), repeats)
-
-    events = 0
-
-    def run_vm(tier: str):
-        nonlocal events
-        vm = VM(scheduler=RoundRobinScheduler(), detectors=_hooks(tier))
-        vm.run(workload_guest, n_threads, iterations)
-        events = vm.stats.total_events
-
-    vm_only = _best_of(lambda: run_vm("vm-only"), repeats)
-    detector_seconds = {}
-    for name in detectors:
-        detector_seconds[name] = _best_of(lambda: run_vm(name), repeats)
+    events: dict[str, int] = {}
+    tiers = ("vm-only", *detectors)
+    native, *seconds = _best_of(
+        [
+            lambda: workload_native(n_threads, iterations),
+            *(_tier_run(tier, n_threads, iterations, events) for tier in tiers),
+        ],
+        repeats,
+    )
     return PerformanceReport(
         native_seconds=native,
-        vm_seconds=vm_only,
-        detector_seconds=detector_seconds,
-        events=events,
+        vm_seconds=seconds[0],
+        detector_seconds=dict(zip(detectors, seconds[1:])),
+        events=events[tiers[-1]],
     )
 
 
@@ -218,20 +231,15 @@ def measure_event_throughput(
     perturbs them.
     """
     out: dict[str, dict[str, float]] = {}
-    for name in tiers:
-        events = 0
-
-        def run() -> None:
-            nonlocal events
-            vm = VM(scheduler=RoundRobinScheduler(), detectors=_hooks(name))
-            vm.run(workload_guest, n_threads, iterations)
-            events = vm.stats.total_events
-
-        seconds = _best_of(run, repeats)
+    events: dict[str, int] = {}
+    best = _best_of(
+        [_tier_run(name, n_threads, iterations, events) for name in tiers], repeats
+    )
+    for name, seconds in zip(tiers, best):
         out[name] = {
-            "events": float(events),
+            "events": float(events[name]),
             "seconds": seconds,
-            "events_per_sec": events / seconds if seconds > 0 else 0.0,
+            "events_per_sec": events[name] / seconds if seconds > 0 else 0.0,
         }
         if breakdown:
             out[name].update(

@@ -225,7 +225,7 @@ class AddressSpace:
         block = self._by_base[self._bases[idx]]
         return block if block.contains(addr) else None
 
-    def check_access(self, addr: int, *, tid: int = -1) -> MemoryBlock:
+    def check_access(self, addr: int, tid: int = -1) -> MemoryBlock:
         """Validate that ``addr`` is inside a live block and return it."""
         cached = self._last_block
         if (
@@ -262,20 +262,20 @@ class AddressSpace:
 
     def load(self, addr: int, *, tid: int = -1) -> object:
         """Load the word at ``addr``; faults on wild/freed/uninitialised."""
-        return self.load_block(addr, tid=tid)[0]
+        return self.load_block(addr, tid)[0]
 
     def store(self, addr: int, value: object, *, tid: int = -1) -> None:
         """Store ``value`` into the word at ``addr``."""
-        self.store_block(addr, value, tid=tid)
+        self.store_block(addr, value, tid)
 
-    def load_block(self, addr: int, *, tid: int = -1) -> tuple[object, MemoryBlock]:
+    def load_block(self, addr: int, tid: int = -1) -> tuple[object, MemoryBlock]:
         """Load ``addr`` and return ``(value, containing block)``.
 
         One address lookup serves both the access check and the event's
         ``block_id`` — the VM hot path calls this instead of ``load`` +
         ``find_block`` (two binary searches per guest access).
         """
-        block = self.check_access(addr, tid=tid)
+        block = self.check_access(addr, tid)
         value = block.words[addr - block.base]
         if value is _UNINIT:
             raise GuestFault(
@@ -283,10 +283,10 @@ class AddressSpace:
             )
         return value, block
 
-    def store_block(self, addr: int, value: object, *, tid: int = -1) -> MemoryBlock:
+    def store_block(self, addr: int, value: object, tid: int = -1) -> MemoryBlock:
         """Store into ``addr`` and return the containing block (see
         :meth:`load_block`)."""
-        block = self.check_access(addr, tid=tid)
+        block = self.check_access(addr, tid)
         words = block.words
         offset = addr - block.base
         if words[offset] is _UNINIT:

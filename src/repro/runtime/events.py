@@ -10,7 +10,10 @@ Design notes
 * Events are immutable (``frozen=True``) dataclasses with ``slots`` —
   they are created millions of times per run and are the dominant
   allocation, so they stay small, and immutability lets the trace
-  recorder and several detectors share them without copying.
+  recorder and several detectors share them without copying.  Their
+  ``__init__`` is generated by :func:`_event_class`, which stores each
+  field through its slot instead of a frozen dataclass's per-field
+  ``object.__setattr__``.
 * Every event carries the logical ``step`` (the VM's trap counter — the
   only clock in the simulated world), the acting thread id and a call
   stack snapshot.  Call stacks are what turn raw addresses into the
@@ -30,7 +33,7 @@ Design notes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "CallStack",
     "intern_frame",
     "intern_stack",
+    "intern_guest_stack",
     "intern_stats",
     "Event",
     "MemoryAccess",
@@ -139,12 +143,16 @@ def intern_frame(frame: Frame) -> Frame:
     return _FRAME_INTERN.setdefault(frame, frame)
 
 
-def intern_stack(stack: CallStack) -> CallStack:
-    """Return the canonical instance equal to ``stack``.
+def intern_stack(stack: tuple) -> CallStack:
+    """Return the canonical call stack equal to ``stack``.
 
-    The frames of a newly-interned stack are interned individually as
-    well, so shared prefixes/suffixes across different stacks also share
-    their :class:`Frame` objects.
+    ``stack`` holds its frames innermost first, each a :class:`Frame`
+    or a plain ``(function, file, line)`` tuple: a frame hashes and
+    compares as that tuple, so either finds the canonical stack.
+    :class:`Frame` objects are built only for a stack never seen
+    before, and its frames are interned individually as well, so
+    shared prefixes/suffixes across different stacks also share their
+    :class:`Frame` objects.
     """
     global _STACK_HITS, _STACK_MISSES
     cached = _STACK_INTERN.get(stack)
@@ -152,8 +160,19 @@ def intern_stack(stack: CallStack) -> CallStack:
         _STACK_HITS += 1
         return cached
     _STACK_MISSES += 1
-    canonical: CallStack = tuple(_FRAME_INTERN.setdefault(f, f) for f in stack)
+    canonical: CallStack = tuple(intern_frame(Frame._make(f)) for f in stack)
     return _STACK_INTERN.setdefault(canonical, canonical)
+
+
+def intern_guest_stack(frames: list) -> CallStack:
+    """The interned call stack of a guest thread's frame list.
+
+    ``frames`` is ``SimThread.frames``: innermost *last*, each a
+    ``[function, file, line]`` list.  The stack is looked up by its
+    plain tuples, so a snapshot of a stack seen before builds no
+    :class:`Frame`.
+    """
+    return intern_stack(tuple(map(tuple, reversed(frames))))
 
 
 def intern_table_sizes() -> tuple[int, int]:
@@ -176,7 +195,42 @@ def intern_stats() -> dict[str, int]:
     }
 
 
-@dataclass(frozen=True, slots=True)
+def _event_class(cls: type) -> type:
+    """``@dataclass(frozen=True, slots=True)`` with a generated ``__init__``
+    that stores each field through its slot descriptor's ``__set__``.
+
+    A frozen dataclass's own ``__init__`` stores each field with
+    ``object.__setattr__(self, name, value)``, a generic attribute
+    lookup per field, and the VM builds an event at every trap.  The
+    signature is the dataclass one: the fields in order, their
+    defaults, ``stack`` keyword-only; the class keeps the dataclass
+    eq, hash, repr, pickle support, ``dataclasses.replace`` and
+    ``FrozenInstanceError`` on assignment.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    declared = fields(cls)
+    ns: dict = {"__name__": cls.__module__}
+    positional: list[str] = []
+    keyword: list[str] = []
+    body: list[str] = []
+    for f in declared:
+        ns[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        param = f.name
+        if f.default is not MISSING:
+            ns[f"_default_{f.name}"] = f.default
+            param += f"=_default_{f.name}"
+        (keyword if f.kw_only else positional).append(param)
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    params = ", ".join(["self", *positional, *(["*", *keyword] if keyword else [])])
+    exec(f"def __init__({params}):\n" + "\n".join(body), ns)  # noqa: S102 - field names only
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in declared} | {"return": None}
+    cls.__init__ = init
+    return cls
+
+
+@_event_class
 class Event:
     """Base class for all VM events.
 
@@ -195,7 +249,7 @@ class Event:
         return self.stack[0] if self.stack else None
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class MemoryAccess(Event):
     """A load or store of one guest word.
 
@@ -214,7 +268,7 @@ class MemoryAccess(Event):
         return self.kind is AccessKind.WRITE
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class MemAlloc(Event):
     """A VM-level allocation of ``size`` words at ``addr``."""
 
@@ -224,7 +278,7 @@ class MemAlloc(Event):
     tag: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class MemFree(Event):
     """A VM-level free of the block at ``addr``."""
 
@@ -233,7 +287,7 @@ class MemFree(Event):
     block_id: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class LockAcquire(Event):
     """A lock was acquired in ``mode`` (emitted after the wait, if any)."""
 
@@ -244,7 +298,7 @@ class LockAcquire(Event):
     contended: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class LockRelease(Event):
     """A lock was released (mode recorded for rw-locks)."""
 
@@ -252,26 +306,26 @@ class LockRelease(Event):
     mode: LockMode = LockMode.EXCLUSIVE
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class ThreadCreate(Event):
     """Thread ``tid`` created ``child_tid`` (pthread_create)."""
 
     child_tid: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class ThreadFinish(Event):
     """Thread ``tid`` ran to completion (its start routine returned)."""
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class ThreadJoin(Event):
     """Thread ``tid`` observed the termination of ``joined_tid``."""
 
     joined_tid: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class CondWait(Event):
     """A condition-variable wait.
 
@@ -289,7 +343,7 @@ class CondWait(Event):
     phase: str = "enter"
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class CondSignal(Event):
     """A condition-variable signal (``broadcast`` wakes all waiters)."""
 
@@ -297,21 +351,21 @@ class CondSignal(Event):
     broadcast: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class SemPost(Event):
     """Semaphore V operation."""
 
     sem_id: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class SemWait(Event):
     """Semaphore P operation (emitted after the count was taken)."""
 
     sem_id: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class BarrierWait(Event):
     """A barrier operation; ``generation`` counts barrier cycles.
 
@@ -327,7 +381,7 @@ class BarrierWait(Event):
     phase: str = "arrive"
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class QueuePut(Event):
     """A message was deposited into a message queue.
 
@@ -341,7 +395,7 @@ class QueuePut(Event):
     msg_id: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class QueueGet(Event):
     """A message was removed from a message queue (see :class:`QueuePut`)."""
 
@@ -349,7 +403,7 @@ class QueueGet(Event):
     msg_id: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@_event_class
 class ClientRequest(Event):
     """A Valgrind-style client request from the guest.
 

@@ -150,11 +150,9 @@ class SimThread:
 
     def snapshot_stack(self) -> "CallStack":
         """Interned snapshot of the guest call stack, innermost first."""
-        from repro.runtime.events import Frame, intern_stack
+        from repro.runtime.events import intern_guest_stack
 
-        return intern_stack(
-            tuple(Frame(fn, fi, ln) for fn, fi, ln in reversed(self.frames))
-        )
+        return intern_guest_stack(self.frames)
 
     def __repr__(self) -> str:
         return f"SimThread(tid={self.tid}, name={self.name!r}, state={self.state.value})"

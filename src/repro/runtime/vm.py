@@ -57,7 +57,6 @@ from repro.runtime.events import (
     CondSignal,
     CondWait,
     Event,
-    Frame,
     LockAcquire,
     LockMode,
     LockRelease,
@@ -71,7 +70,7 @@ from repro.runtime.events import (
     ThreadCreate,
     ThreadFinish,
     ThreadJoin,
-    intern_stack,
+    intern_guest_stack,
 )
 from repro.runtime.scheduler import RoundRobinScheduler, Scheduler
 from repro.runtime.sync import (
@@ -88,6 +87,8 @@ from repro.runtime.thread import Baton, SimThread, ThreadState
 __all__ = ["VM", "GuestAPI", "VMStats"]
 
 _BY_TID = attrgetter("tid")
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
 
 
 class _GuestAbort(BaseException):
@@ -210,6 +211,9 @@ class VM:
         #: set rarely changes between two traps, so the tuple is reused
         #: until ``_set_runnable``/``_set_not_runnable`` drop it.
         self._run_queue: tuple[SimThread, ...] | None = None
+        #: Threads made and not yet finished or faulted, kept as a count
+        #: so a spawn does not rescan every thread the run has made.
+        self._live_threads = 0
         self._aborting = False
         self._started = False
         self._finished = False
@@ -416,8 +420,8 @@ class VM:
         thread.resume = Baton()  # before the thread is known: a failure leaks nothing
         self.threads[tid] = thread
         self.stats.threads_created += 1
-        live = sum(1 for t in self.threads.values() if t.alive)
-        self.stats.max_live_threads = max(self.stats.max_live_threads, live)
+        self._live_threads += 1
+        self.stats.max_live_threads = max(self.stats.max_live_threads, self._live_threads)
         return thread
 
     def _start_carrier(self, thread: SimThread) -> None:
@@ -440,12 +444,12 @@ class VM:
         try:
             self._wait_turn(thread)  # block until first scheduled
             thread.result = thread.target(api, *thread.args)
-            self._set_not_runnable(thread, ThreadState.FINISHED)
+            self._end_thread(thread, ThreadState.FINISHED)
             api._emit(ThreadFinish(self.clock, thread.tid, stack=thread.snapshot_stack()))
         except _GuestAbort:
             pass  # VM is tearing down; exit silently, do not touch control
         except BaseException as exc:  # noqa: BLE001 - any guest failure halts the VM
-            self._set_not_runnable(thread, ThreadState.FAULTED)
+            self._end_thread(thread, ThreadState.FAULTED)
             thread.error = exc
             if not self._aborting:  # else raised while unwinding: the loop is tearing down
                 self._pending_error = exc
@@ -485,6 +489,14 @@ class VM:
         thread.state = state
         self._runnable.pop(thread.tid, None)
         self._run_queue = None
+
+    def _end_thread(self, thread: SimThread, state: ThreadState) -> None:
+        """The start routine returned (FINISHED) or raised (FAULTED); a
+        thread whose ThreadFinish emission raised goes from the one to
+        the other and is counted out once."""
+        if thread.alive:
+            self._live_threads -= 1
+        self._set_not_runnable(thread, state)
 
     def _switch(self, thread: SimThread) -> None:
         """Scheduling decision point for a still-runnable thread."""
@@ -595,9 +607,7 @@ class GuestAPI:
         """
         cache = self._stack_cache
         if cache is None:
-            cache = intern_stack(
-                tuple(Frame(fn, fi, ln) for fn, fi, ln in reversed(self.thread.frames))
-            )
+            cache = intern_guest_stack(self.thread.frames)
             self._stack_cache = cache
         return cache
 
@@ -658,16 +668,12 @@ class GuestAPI:
     def load(self, addr: int, *, locked: bool = False) -> object:
         """Load one word.  ``locked`` marks a ``LOCK``-prefixed read."""
         vm = self.vm
-        value, block = vm.memory.load_block(addr, tid=self.thread.tid)
+        tid = self.thread.tid
+        value, block = vm.memory.load_block(addr, tid)
         self._emit_and_switch(
             MemoryAccess(
-                vm.clock,
-                self.thread.tid,
+                vm.clock, tid, addr, _READ, locked, block.block_id,
                 stack=self._snap(),
-                addr=addr,
-                kind=AccessKind.READ,
-                bus_locked=locked,
-                block_id=block.block_id,
             )
         )
         return value
@@ -675,16 +681,12 @@ class GuestAPI:
     def store(self, addr: int, value: object, *, locked: bool = False) -> None:
         """Store one word.  ``locked`` marks a ``LOCK``-prefixed write."""
         vm = self.vm
-        block = vm.memory.store_block(addr, value, tid=self.thread.tid)
+        tid = self.thread.tid
+        block = vm.memory.store_block(addr, value, tid)
         self._emit_and_switch(
             MemoryAccess(
-                vm.clock,
-                self.thread.tid,
+                vm.clock, tid, addr, _WRITE, locked, block.block_id,
                 stack=self._snap(),
-                addr=addr,
-                kind=AccessKind.WRITE,
-                bus_locked=locked,
-                block_id=block.block_id,
             )
         )
 
@@ -707,14 +709,14 @@ class GuestAPI:
         self._emit(
             MemoryAccess(
                 vm.clock, self.tid, stack=stack, addr=addr,
-                kind=AccessKind.READ, bus_locked=True, block_id=block_id,
+                kind=_READ, bus_locked=True, block_id=block_id,
             )
         )
         vm.memory.store(addr, old + delta, tid=self.tid)
         self._emit_and_switch(
             MemoryAccess(
                 vm.clock, self.tid, stack=stack, addr=addr,
-                kind=AccessKind.WRITE, bus_locked=True, block_id=block_id,
+                kind=_WRITE, bus_locked=True, block_id=block_id,
             )
         )
         return old
@@ -731,7 +733,7 @@ class GuestAPI:
         self._emit(
             MemoryAccess(
                 vm.clock, self.tid, stack=stack, addr=addr,
-                kind=AccessKind.READ, bus_locked=True, block_id=block_id,
+                kind=_READ, bus_locked=True, block_id=block_id,
             )
         )
         if current != expected:
@@ -741,7 +743,7 @@ class GuestAPI:
         self._emit_and_switch(
             MemoryAccess(
                 vm.clock, self.tid, stack=stack, addr=addr,
-                kind=AccessKind.WRITE, bus_locked=True, block_id=block_id,
+                kind=_WRITE, bus_locked=True, block_id=block_id,
             )
         )
         return True

@@ -177,12 +177,13 @@ def decode_json(payload: bytes) -> dict:
 
 
 def hello_id(hello: dict, key: str) -> str | None:
-    """A session id carried by a HELLO — ``"session"`` (resume) or the
-    acceptor's ``"assign"`` — or ``None`` when the key is absent.
+    """An id carried by a HELLO — ``"session"`` (resume), the acceptor's
+    ``"assign"`` or the ``"trace"`` correlation id — or ``None`` when
+    the key is absent.
 
-    Checked here, before the id is hashed, looked up or joined into a
-    checkpoint path: an id that is not a string is a
-    :class:`ProtocolError`, so the client gets an ERROR frame.
+    Checked here, before the id is hashed, looked up, joined into a
+    checkpoint path, forwarded or echoed: an id that is not a string is
+    a :class:`ProtocolError`, so the client gets an ERROR frame.
     """
     value = hello.get(key)
     if value is not None and not isinstance(value, str):

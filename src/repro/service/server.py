@@ -524,18 +524,17 @@ class AnalysisServer:
 
     def _open_session(self, conn, hello: dict) -> ServiceSession:
         """Build a fresh session, or resume one from its checkpoint."""
+        trace = protocol.hello_id(hello, "trace")
         resume_id = protocol.hello_id(hello, "session")
         if resume_id is not None:
-            session = self._resume_session(
-                conn, resume_id, trace=hello.get("trace")
-            )
+            session = self._resume_session(conn, resume_id, trace=trace)
             self.log.info(
                 "session_resume", session=session.session_id,
                 config=session.config, offset=session.api.bytes_fed,
                 events=session.api.events_seen, trace=session.trace_id,
             )
         else:
-            session = self._fresh_session(conn, hello)
+            session = self._fresh_session(conn, hello, trace=trace)
             self.log.info(
                 "session_open", session=session.session_id,
                 config=session.config, trace=session.trace_id,
@@ -580,7 +579,9 @@ class AnalysisServer:
         self._m_resumed.inc()
         return session
 
-    def _fresh_session(self, conn, hello: dict) -> ServiceSession:
+    def _fresh_session(
+        self, conn, hello: dict, *, trace: str | None = None
+    ) -> ServiceSession:
         config = hello.get("config", "hwlc+dr")
         profile(config)  # validate before allocating anything
         assigned = protocol.hello_id(hello, "assign")
@@ -616,7 +617,7 @@ class AnalysisServer:
         try:
             session = ServiceSession(
                 session_id, config, self, conn,
-                queue_blocks=self.queue_blocks, trace_id=hello.get("trace"),
+                queue_blocks=self.queue_blocks, trace_id=trace,
             )
         finally:
             with self._sessions_lock:

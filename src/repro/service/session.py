@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import queue
+import socket
 import threading
 import time
 
@@ -281,13 +282,23 @@ class ServiceSession:
             ).inc()
         conn = self.conn
         if conn is not None:
+            self.conn = None
             try:
                 with self.send_lock:
                     protocol.send_json(
                         conn, protocol.ERROR, {"error": message}
                     )
+                # The connection closes after ERROR: the client reads
+                # ERROR, then EOF, and closes; the reader then sees EOF
+                # and closes its end.  Only the write side is shut: a
+                # client still streaming must get ERROR, not a broken
+                # pipe, and the chunks it has in flight are dropped by
+                # ``enqueue``.  ``shutdown``, not ``close``: the reader
+                # owns the descriptor, and a sharded acceptor may still
+                # hold a copy of a handed-over one.
+                conn.shutdown(socket.SHUT_WR)
             except OSError:
-                self.conn = None
+                pass
         self.server.release(self, drop_checkpoint=False)
 
     def _detach_now(self) -> None:

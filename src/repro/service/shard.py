@@ -618,6 +618,7 @@ class ShardedAnalysisServer:
     def _route(self, conn: socket.socket, hello: dict,
                reader: protocol.FrameReader) -> None:
         """Consistent-hash the session id and hand the connection over."""
+        protocol.hello_id(hello, "trace")  # typed before it is forwarded
         session_id = protocol.hello_id(hello, "session")
         if session_id is None:
             # Fresh session: the acceptor assigns the id (so it can

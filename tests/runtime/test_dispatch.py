@@ -26,7 +26,9 @@ from repro.runtime.events import (
     MemoryAccess,
     ThreadCreate,
     intern_frame,
+    intern_guest_stack,
     intern_stack,
+    intern_stats,
 )
 
 
@@ -145,6 +147,39 @@ class TestStackInterning:
         assert s1 is s2
         assert s1[0] is f1
         assert intern_stack(s1) is s1  # already-canonical fast path
+
+    def test_guest_stack_is_the_object_intern_stack_returns(self):
+        frames = [["outer", "s.cpp", 3], ["inner", "s.cpp", 9]]
+        stack = intern_guest_stack(frames)
+        assert stack is intern_stack((Frame("inner", "s.cpp", 9), Frame("outer", "s.cpp", 3)))
+        assert intern_guest_stack(frames) is stack
+        assert all(type(frame) is Frame for frame in stack)
+        assert intern_guest_stack([]) == ()
+
+    def test_plain_tuples_find_the_canonical_stack(self):
+        """A frame hashes and compares as its plain tuple, so a stack
+        of plain tuples finds the canonical stack; a new one is built
+        of interned :class:`Frame` objects."""
+        stack = intern_stack((Frame("plain", "s.cpp", 1),))
+        assert intern_stack((("plain", "s.cpp", 1),)) is stack
+        fresh = intern_stack((("plain", "s.cpp", 2), ("plain", "s.cpp", 1)))
+        assert type(fresh[0]) is Frame and fresh[1] is stack[0]
+
+    def test_a_line_change_is_a_new_stack(self):
+        frames = [["moved", "s.cpp", 1]]
+        first = intern_guest_stack(frames)
+        frames[-1][2] = 2
+        second = intern_guest_stack(frames)
+        assert first != second and second == (Frame("moved", "s.cpp", 2),)
+
+    def test_one_hit_or_one_miss_per_lookup(self):
+        frames = [["counted", "s.cpp", 1]]
+        before = intern_stats()
+        intern_guest_stack(frames)
+        intern_guest_stack(frames)
+        after = intern_stats()
+        assert after["stack_misses"] - before["stack_misses"] == 1
+        assert after["stack_hits"] - before["stack_hits"] == 1
 
     def test_emitted_events_carry_interned_stacks(self):
         class Recorder:

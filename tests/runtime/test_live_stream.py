@@ -1,0 +1,104 @@
+"""The live event stream of the evaluation cases, pinned.
+
+The golden reports pin what the detectors conclude; this pins what the
+VM emits.  For T1–T3 under the three paper configurations at seed 42,
+a digest of every event's type and fields, in order, and the run's
+switch and trap counts must equal the values below, so a change to
+the trap path that moves one step, stack frame or scheduling decision
+fails here even when no warning changes.  The same holds for the
+stack-interning tallies of a T1 run.
+"""
+
+from __future__ import annotations
+
+import enum
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.experiments.harness import run_proxy_case
+from repro.sip.workload import evaluation_cases
+
+#: ``(case, config): (sha256 prefix of the stream, events, switches, traps)``.
+PINNED = {
+    ("T1", "original"): ("97661b44ec8955e4", 3735, 4984, 6301),
+    ("T1", "hwlc"): ("97661b44ec8955e4", 3735, 4984, 6301),
+    ("T1", "hwlc+dr"): ("6a6bbf316a03d848", 3771, 4957, 6263),
+    ("T2", "original"): ("15ac2dced9d31c0a", 2762, 3366, 4882),
+    ("T2", "hwlc"): ("15ac2dced9d31c0a", 2762, 3366, 4882),
+    ("T2", "hwlc+dr"): ("44e532a5e8f15239", 2795, 3426, 4909),
+    ("T3", "original"): ("13698d348aef3930", 1675, 1426, 2173),
+    ("T3", "hwlc"): ("13698d348aef3930", 1675, 1426, 2173),
+    ("T3", "hwlc+dr"): ("db32c15509e33071", 1692, 1425, 2184),
+}
+
+
+class StreamDigest:
+    """A hook that hashes every event it sees: its type name and each
+    field, with stacks as plain tuples and enums as their values."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+        self.events = 0
+        self.vm = None
+        self._names: dict[type, tuple[str, ...]] = {}
+
+    def handle(self, event, vm) -> None:
+        self.vm = vm
+        self.events += 1
+        cls = type(event)
+        names = self._names.get(cls)
+        if names is None:
+            names = self._names[cls] = tuple(f.name for f in fields(cls))
+        row = [cls.__name__]
+        for name in names:
+            value = getattr(event, name)
+            if name == "stack":
+                value = tuple(map(tuple, value))
+            elif isinstance(value, enum.Enum):
+                value = value.value
+            row.append(value)
+        self.sha.update(repr(row).encode())
+
+
+@pytest.mark.parametrize(("case_id", "config"), sorted(PINNED))
+def test_live_stream_is_pinned(case_id, config):
+    case = {c.case_id: c for c in evaluation_cases()}[case_id]
+    digest = StreamDigest()
+    run_proxy_case(case, config, seed=42, extra_hooks=(digest,))
+    stats = digest.vm.stats
+    assert (
+        digest.sha.hexdigest()[:16], digest.events, stats.switches, stats.traps
+    ) == PINNED[(case_id, config)]
+
+
+def test_t1_stack_intern_tallies():
+    """In a fresh process, a T1 run interns its stacks with these hits
+    and misses: the tallies behind ``repro_stack_intern_*``."""
+    script = (
+        "import json\n"
+        "from repro.experiments.harness import run_proxy_case\n"
+        "from repro.runtime.events import intern_stats\n"
+        "from repro.sip.workload import evaluation_cases\n"
+        "case = {c.case_id: c for c in evaluation_cases()}['T1']\n"
+        "before = intern_stats()\n"
+        "run_proxy_case(case, 'hwlc+dr', seed=42)\n"
+        "after = intern_stats()\n"
+        "print(json.dumps({k: after[k] - before[k] for k in after}))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "frames": 142, "stacks": 281, "stack_hits": 1430, "stack_misses": 281,
+    }

@@ -715,6 +715,69 @@ class TestStats:
         assert vm.stats.switches <= 2
 
 
+class _LiveRecount:
+    """Recounts the live threads by brute force at every ThreadCreate;
+    ``peak`` starts at 1, the main thread."""
+
+    def __init__(self) -> None:
+        self.peak = 1
+
+    def handle(self, event, vm) -> None:
+        if isinstance(event, ThreadCreate):
+            live = sum(1 for t in vm.threads.values() if t.alive)
+            self.peak = max(self.peak, live)
+
+
+class TestMaxLiveThreads:
+    """``max_live_threads`` comes from a running count of live threads,
+    so a spawn does not rescan every thread the run has made."""
+
+    @staticmethod
+    def _run(prog, *, raises=None):
+        recount = _LiveRecount()
+        vm = VM(scheduler=RoundRobinScheduler(), detectors=(recount,))
+        if raises is None:
+            vm.run(prog)
+        else:
+            with pytest.raises(raises):
+                vm.run(prog)
+        assert vm.stats.max_live_threads == recount.peak
+        assert vm._live_threads == sum(1 for t in vm.threads.values() if t.alive)
+        return vm
+
+    def test_spawn_and_join_one_at_a_time(self):
+        def prog(api):
+            for _ in range(6):
+                api.join(api.spawn(lambda a: a.yield_()))
+
+        vm = self._run(prog)
+        assert vm.stats.max_live_threads == 2
+
+    def test_spawn_all_then_join(self):
+        def prog(api):
+            children = [api.spawn(lambda a: a.yield_()) for _ in range(6)]
+            for child in children:
+                api.join(child)
+
+        vm = self._run(prog)
+        assert vm.stats.max_live_threads > 2
+
+    def test_a_child_that_faults(self):
+        def faulting(api):
+            api.yield_()
+            api.free(0x10)  # never allocated: a guest fault
+
+        def prog(api):
+            api.join(api.spawn(lambda a: None))
+            waiters = [api.spawn(lambda a: a.yield_()) for _ in range(3)]
+            api.spawn(faulting)
+            for child in waiters:
+                api.join(child)
+
+        vm = self._run(prog, raises=GuestFault)
+        assert vm.threads[5].state is ThreadState.FAULTED
+
+
 class TestApiDetails:
     def test_spawn_names_threads(self):
         def prog(api):

@@ -7,7 +7,8 @@ offline ``repro trace replay`` report byte-for-byte, whatever process
 the session happened to land on.  ``predictive_traces`` does the same
 for the latent-bug cases T9 and T10 under the ``predictive`` profile.
 ``BAD_HELLOS`` and :func:`raw_hello` drive both kinds of server with
-HELLO bodies whose fields have the wrong JSON type.
+HELLO bodies whose fields have the wrong JSON type, and
+:func:`raw_failing_session` with a session whose analysis fails.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ BAD_HELLOS = {
     "config-object": ({"config": {"a": 1}}, "unknown detector configuration"),
     "session-int": ({"session": 5}, "HELLO session must be a string"),
     "session-list": ({"session": ["x"]}, "HELLO session must be a string"),
+    "trace-list": ({"trace": ["x"]}, "HELLO trace must be a string"),
+    "trace-int": ({"trace": 5}, "HELLO trace must be a string"),
+    "trace-object": ({"trace": {"a": 1}}, "HELLO trace must be a string"),
 }
 
 
@@ -49,6 +53,25 @@ def raw_hello(socket_path: str, body: dict) -> tuple[int, dict] | None:
         return None
     ftype, payload = frame
     return ftype, protocol.decode_json(payload)
+
+
+def raw_failing_session(socket_path: str) -> list[tuple[int, dict]]:
+    """Open a session, send one DATA frame that is not RPTR and FINISH;
+    every frame the server answers with, up to EOF.  The connection
+    closes after the ERROR frame, so a read that waits 2 s for that EOF
+    raises ``TimeoutError``."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(2.0)
+        sock.connect(socket_path)
+        protocol.send_json(sock, protocol.HELLO, {"config": "hwlc+dr"})
+        protocol.send_frame(sock, protocol.DATA, b'{"type":"MemoryAccess"}\n')
+        protocol.send_frame(sock, protocol.FINISH)
+        reader = protocol.FrameReader(sock)
+        frames = []
+        while (frame := reader.read()) is not None:
+            ftype, payload = frame
+            frames.append((ftype, protocol.decode_json(payload)))
+    return frames
 
 
 @pytest.fixture(scope="package")

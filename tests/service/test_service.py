@@ -43,11 +43,13 @@ from repro.service import (
     fetch_report,
     protocol,
 )
+from repro.service.client import DEFAULT_CHUNK_BYTES
 
 from tests.service.conftest import (  # shared with test_shard
     BAD_HELLOS,
     CASES,
     CONFIGS,
+    raw_failing_session,
     raw_hello,
 )
 
@@ -171,6 +173,16 @@ class TestErrors:
             assert fetch_report(path, socket_path=server.address) == reference
         finally:
             server.shutdown(drain=True, timeout=10.0)
+
+    def test_error_frame_closes_the_connection(self, unix_server, traces):
+        """A session whose analysis fails gets its ERROR frame and then
+        EOF, as the protocol says, not a connection left open until the
+        client gives up; the server then serves the next client."""
+        frames = raw_failing_session(unix_server.address)
+        assert [ftype for ftype, _ in frames] == [protocol.WELCOME, protocol.ERROR]
+        assert "bad magic" in frames[-1][1]["error"]
+        path, reference = traces[("T1", "hwlc+dr")]
+        assert fetch_report(path, socket_path=unix_server.address) == reference
 
     def test_data_before_hello(self, unix_server):
         with AnalysisClient(socket_path=unix_server.address) as client:
@@ -640,17 +652,20 @@ class TestCliClient:
     def test_server_error_frame_is_one_line(self, unix_server, tmp_path, capsys):
         """The server's ERROR frame ends ``client report`` with one
         ``error:`` line on stderr and exit status 2, as ``trace replay``
-        ends on the same file."""
+        ends on the same file — also for a file longer than the client's
+        credit window, whose first chunk fails while it still streams."""
         from repro.cli import main
 
         trace = tmp_path / "t.jsonl"
-        trace.write_bytes(b'{"type":"MemoryAccess"}\n')
-        assert main([
-            "client", "report", str(trace), "--socket", unix_server.address,
-        ]) == 2
-        assert capsys.readouterr().err == (
-            "error: ValueError: not a binary trace (bad magic)\n"
-        )
+        line = b'{"type":"MemoryAccess"}\n'
+        for lines in (1, 12 * DEFAULT_CHUNK_BYTES // len(line)):
+            trace.write_bytes(line * lines)
+            assert main([
+                "client", "report", str(trace), "--socket", unix_server.address,
+            ]) == 2, lines
+            assert capsys.readouterr().err == (
+                "error: ValueError: not a binary trace (bad magic)\n"
+            ), lines
 
     def test_corrupt_checkpoint_resume_is_one_line(self, tmp_path, traces, capsys):
         from repro.cli import main

@@ -35,12 +35,14 @@ from repro.service import (
     AnalysisClient,
     AnalysisServer,
     HashRing,
+    ServiceError,
     ShardedAnalysisServer,
     fetch_report,
     protocol,
 )
+from repro.service.client import DEFAULT_CHUNK_BYTES
 
-from tests.service.conftest import BAD_HELLOS, CASES, raw_hello
+from tests.service.conftest import BAD_HELLOS, CASES, raw_failing_session, raw_hello
 
 
 def _metric_sum(snapshot: dict, name: str) -> float:
@@ -113,6 +115,32 @@ class TestShardedUnix:
                 ftype, reply = answer
                 assert ftype == protocol.ERROR, name
                 assert message in reply["error"], name
+            assert fetch_report(path, socket_path=server.address) == reference
+        finally:
+            server.shutdown(drain=True, timeout=30.0)
+
+    def test_error_frame_closes_the_handed_over_connection(self, tmp_path, traces):
+        """A worker's failed session ends with ERROR and then EOF on
+        the connection the acceptor handed over — also for a client
+        still streaming past its credit window, which must get the
+        ERROR, not a broken pipe — and the service then serves a
+        byte-identical report."""
+        path, reference = traces[("T1", "hwlc+dr")]
+        corrupt = tmp_path / "t.jsonl"
+        line = b'{"type":"MemoryAccess"}\n'
+        corrupt.write_bytes(line * (12 * DEFAULT_CHUNK_BYTES // len(line)))
+        server = ShardedAnalysisServer(
+            socket_path=str(tmp_path / "shard.sock"), workers=1, threads=1
+        )
+        server.start()
+        try:
+            frames = raw_failing_session(server.address)
+            assert [ftype for ftype, _ in frames] == [
+                protocol.WELCOME, protocol.ERROR,
+            ]
+            assert "bad magic" in frames[-1][1]["error"]
+            with pytest.raises(ServiceError, match="bad magic"):
+                fetch_report(corrupt, socket_path=server.address)
             assert fetch_report(path, socket_path=server.address) == reference
         finally:
             server.shutdown(drain=True, timeout=30.0)

@@ -106,3 +106,51 @@ def test_outputs_are_64_bit(seed):
     rng = SplitMix64(seed)
     for _ in range(20):
         assert 0 <= rng.next_u64() < (1 << 64)
+
+
+class _Indices:
+    """A sequence of ``n`` elements whose element ``i`` is ``i`` — so
+    ``choice`` can be drawn from sequences as long as ``len`` allows."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> int:
+        return i
+
+
+def _reference_draw(rng: SplitMix64, n: int) -> int:
+    """A draw from ``[0, n)`` through ``next_u64`` with rejection
+    sampling, as ``randrange`` draws, and as ``choice`` drew before it
+    advanced the state itself."""
+    mask = (1 << 64) - 1
+    limit = mask - (mask % n)
+    while True:
+        value = rng.next_u64()
+        if value < limit:
+            return value % n
+
+
+#: ``n = 1``; small ``n``; ``n`` in ``(2**62, 2**63)``, where up to a
+#: third of the draws are rejected; and ``n`` near ``2**63``.
+_SIZES = st.one_of(
+    st.just(1),
+    st.integers(1, 1000),
+    st.integers((1 << 62) + 1, (1 << 63) - 1),
+    st.integers((1 << 63) - 1000, (1 << 63) + 1000),
+)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1), _SIZES)
+def test_randrange_and_choice_draw_the_reference_sequence(seed, n):
+    fast, ref = SplitMix64(seed), SplitMix64(seed)
+    seq = _Indices(n) if n < (1 << 63) else None
+    for _ in range(8):
+        assert fast.randrange(n) == _reference_draw(ref, n)
+        if seq is not None:
+            assert fast.choice(seq) == _reference_draw(ref, n)
+    # Rejected draws advance the state too.
+    assert fast.next_u64() == ref.next_u64()
