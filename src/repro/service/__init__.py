@@ -25,8 +25,7 @@ Modules
     Atomic session checkpoints for kill-and-resume (and, sharded, the
     failover unit a restarted worker restores sessions from).
 :mod:`~repro.service.client`
-    ``repro client`` plumbing: credit ledger, redirect following,
-    file/live streaming.
+    ``repro client`` plumbing: credit ledger, file/live streaming.
 :mod:`~repro.service.admin`
     The HTTP admin plane (``--admin-port``): ``/metrics``, ``/healthz``,
     ``/readyz``, ``/sessions``, ``/workers``.

@@ -53,7 +53,6 @@ class AnalysisClient:
     ) -> None:
         if (socket_path is None) == (host is None or port is None):
             raise ValueError("pass either socket_path or host+port")
-        self._timeout = timeout
         if socket_path is not None:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._sock.settimeout(timeout)
@@ -68,11 +67,6 @@ class AnalysisClient:
         self.credits = 0
         self.welcome: dict | None = None
         self.bytes_sent = 0
-        #: ``(host, port)`` of the worker this session was redirected
-        #: to by a sharded acceptor, if any (``None`` on unix sockets
-        #: and from an in-process ``AnalysisServer``).
-        self.redirected_to: tuple[str, int] | None = None
-        self._redirect_hello: dict | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -90,14 +84,9 @@ class AnalysisClient:
 
     # -- frame plumbing ------------------------------------------------
 
-    def _await(self, wanted: int, follow: int | None = None) -> bytes | None:
+    def _await(self, wanted: int) -> bytes:
         """Read frames until ``wanted`` arrives; CREDIT frames are
-        absorbed into the ledger on the way; ERROR raises.
-
-        With ``follow=REDIRECT``, a REDIRECT frame reconnects the
-        client to the named worker endpoint and returns ``None`` (the
-        caller re-sends its request there).
-        """
+        absorbed into the ledger on the way; ERROR raises."""
         while True:
             frame = self._reader.read()
             if frame is None:
@@ -114,27 +103,10 @@ class AnalysisClient:
                 )
             elif ftype == wanted:
                 return payload
-            elif follow is not None and ftype == follow == protocol.REDIRECT:
-                self._follow_redirect(protocol.decode_json(payload))
-                return None
             else:
                 raise ServiceError(
                     f"unexpected {protocol.frame_name(ftype)} frame"
                 )
-
-    def _follow_redirect(self, info: dict) -> None:
-        """Reconnect to the worker endpoint a sharded acceptor named."""
-        host, port = info.get("host"), info.get("port")
-        if not host or not port:
-            raise ServiceError(f"malformed redirect: {info!r}")
-        self.close()
-        self._sock = socket.create_connection(
-            (host, int(port)), timeout=self._timeout
-        )
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._reader = protocol.FrameReader(self._sock)
-        self.redirected_to = (host, int(port))
-        self._redirect_hello = info.get("hello")
 
     # -- session -------------------------------------------------------
 
@@ -144,30 +116,16 @@ class AnalysisClient:
         For a resume, pass the ``session`` id of a checkpointed
         session; ``welcome["offset"]`` then says where to continue the
         byte stream (what :meth:`stream_file` does with ``offset``).
-
-        Against a sharded TCP service the acceptor answers with a
-        REDIRECT naming the worker's port; the redirect is followed
-        here transparently (the session lands directly on its worker,
-        and all subsequent frames bypass the acceptor entirely).
         """
         body: dict = {}
         if session is not None:
             body["session"] = session
         else:
             body["config"] = config
-        for _hop in range(4):
-            protocol.send_json(self._sock, protocol.HELLO, body)
-            payload = self._await(protocol.WELCOME, follow=protocol.REDIRECT)
-            if payload is None:
-                # Redirected: re-send the acceptor's rewritten HELLO
-                # (it carries the assigned session id, so the worker
-                # opens exactly the session the acceptor routed).
-                body = self._redirect_hello or body
-                continue
-            self.welcome = protocol.decode_json(payload)
-            self.credits = int(self.welcome.get("credits", 0))
-            return self.welcome
-        raise ServiceError("too many redirects")
+        protocol.send_json(self._sock, protocol.HELLO, body)
+        self.welcome = protocol.decode_json(self._await(protocol.WELCOME))
+        self.credits = int(self.welcome.get("credits", 0))
+        return self.welcome
 
     @property
     def session_id(self) -> str | None:

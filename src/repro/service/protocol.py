@@ -26,14 +26,15 @@ needed) returning the server's metrics snapshot — the
 may replace any server response; the connection closes after it.
 
 HELLO is free-form JSON, so optional keys ride it without a protocol
-rev.  Current optional keys: ``"assign"`` (the sharded acceptor's
-pre-chosen session id) and ``"trace"`` (a session-scoped trace
-correlation id — the acceptor mints one per session and stamps it into
-the rewritten HELLO, so acceptor- and worker-side log records and
-Chrome trace spans for the same session share the id across both the
-SCM_RIGHTS handover and the REDIRECT re-dial; ``repro trace merge``
-correlates on it).  The server echoes the id back as ``"trace"`` in
-WELCOME.  Unknown HELLO keys are ignored.
+rev.  Besides ``"config"`` and ``"session"``, the one key is
+``"trace"``, a session-scoped trace correlation id: the sharded
+acceptor mints one for a session whose client sent none and forwards
+it with the HELLO over the SCM_RIGHTS handover, so acceptor- and
+worker-side log records and Chrome trace spans for the same session
+share it (``repro trace merge`` correlates on it).  The server echoes
+the id back as ``"trace"`` in WELCOME.  Unknown HELLO keys are
+ignored.  A client never chooses the id of a fresh session: the
+server that reads the HELLO assigns it.
 
 Backpressure contract: ``WELCOME.credits`` is the session's queue bound
 N.  A client must not send a DATA frame without holding a credit; the
@@ -60,7 +61,7 @@ __all__ = [
     "send_json",
     # frame types
     "HELLO", "DATA", "FINISH", "STAT",
-    "WELCOME", "CREDIT", "REPORT", "STATS", "ERROR", "REDIRECT",
+    "WELCOME", "CREDIT", "REPORT", "STATS", "ERROR",
 ]
 
 #: Frame header: type byte + payload length (big-endian u32).
@@ -82,17 +83,11 @@ CREDIT = 17
 REPORT = 18
 STATS = 19
 ERROR = 20
-#: Sharded TCP mode: the acceptor answers HELLO with a REDIRECT naming
-#: the worker endpoint (``{"host", "port", "hello"}``); the client
-#: reconnects there and sends the rewritten ``hello`` body.  Unix-socket
-#: sharding never redirects — the connection itself is handed to the
-#: worker over SCM_RIGHTS.
-REDIRECT = 21
 
 _NAMES = {
     HELLO: "HELLO", DATA: "DATA", FINISH: "FINISH", STAT: "STAT",
     WELCOME: "WELCOME", CREDIT: "CREDIT", REPORT: "REPORT",
-    STATS: "STATS", ERROR: "ERROR", REDIRECT: "REDIRECT",
+    STATS: "STATS", ERROR: "ERROR",
 }
 
 
@@ -177,9 +172,8 @@ def decode_json(payload: bytes) -> dict:
 
 
 def hello_id(hello: dict, key: str) -> str | None:
-    """An id carried by a HELLO — ``"session"`` (resume), the acceptor's
-    ``"assign"`` or the ``"trace"`` correlation id — or ``None`` when
-    the key is absent.
+    """An id carried by a HELLO — ``"session"`` (resume) or the
+    ``"trace"`` correlation id — or ``None`` when the key is absent.
 
     Checked here, before the id is hashed, looked up, joined into a
     checkpoint path, forwarded or echoed: an id that is not a string is

@@ -3,7 +3,8 @@
 Architecture — the paper's offline checker turned into a long-lived,
 multi-tenant service:
 
-* an **accept thread** takes connections on a unix socket or TCP port;
+* an **accept thread** takes connections on a unix socket, or the
+  sharded acceptor hands them over (:meth:`AnalysisServer.adopt_connection`);
 * a **reader thread per connection** parses frames and pushes DATA
   chunks into that session's bounded queue (credit-based backpressure
   keeps the bound honest — see :mod:`repro.service.protocol`);
@@ -53,23 +54,19 @@ DEFAULT_QUEUE_BLOCKS = 8
 class AnalysisServer:
     """Multi-session streaming analysis service.
 
-    Exactly one of ``socket_path`` (unix domain socket) or ``host`` +
-    ``port`` (TCP; ``port=0`` picks a free one, see :attr:`address`)
-    selects the transport.  ``start()`` spawns the threads and returns;
-    ``serve_forever()`` blocks until :meth:`shutdown`.
-
-    With ``listen=False`` no endpoint is bound at all: the server only
-    ingests connections handed to it via :meth:`adopt_connection` —
-    the shape a shard worker process runs in when the acceptor passes
-    accepted sockets over SCM_RIGHTS (:mod:`repro.service.shard`).
+    With ``socket_path`` the server listens on that unix domain socket.
+    Without it no endpoint is bound at all: the server only ingests
+    connections handed to it via :meth:`adopt_connection` — the shape a
+    shard worker process runs in when the acceptor passes accepted
+    sockets, unix or TCP, over SCM_RIGHTS (:mod:`repro.service.shard`).
+    ``start()`` spawns the threads and returns; ``serve_forever()``
+    blocks until :meth:`shutdown`.
     """
 
     def __init__(
         self,
         *,
         socket_path: str | None = None,
-        host: str | None = None,
-        port: int | None = None,
         workers: int = 2,
         queue_blocks: int = DEFAULT_QUEUE_BLOCKS,
         idle_timeout: float | None = None,
@@ -77,18 +74,12 @@ class AnalysisServer:
         checkpoint_every: int = 0,
         registry: MetricsRegistry | None = None,
         throttle: float = 0.0,
-        listen: bool = True,
         worker_id: str = "w0",
         logger=None,
         flight=None,
         tracer=None,
         trace_out: str | None = None,
     ) -> None:
-        if listen:
-            if (socket_path is None) == (host is None or port is None):
-                raise ValueError("pass either socket_path or host+port")
-        elif socket_path is not None or host is not None or port is not None:
-            raise ValueError("listen=False takes no endpoint")
         if workers < 1:
             raise ValueError("need at least one worker")
         if queue_blocks < 1:
@@ -129,18 +120,11 @@ class AnalysisServer:
         self.trace_out = trace_out
 
         self._listener: socket.socket | None = None
-        if not listen:
-            pass
-        elif socket_path is not None:
+        if socket_path is not None:
             if os.path.exists(socket_path):
                 os.unlink(socket_path)
             self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._listener.bind(socket_path)
-        else:
-            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._listener.bind((host, port))
-        if self._listener is not None:
             self._listener.listen(64)
 
         self._sessions: dict[str, ServiceSession] = {}
@@ -188,15 +172,10 @@ class AnalysisServer:
     # ------------------------------------------------------------------
 
     @property
-    def address(self) -> tuple[str, int] | str | None:
-        """Bound endpoint: the socket path, or the ``(host, port)``
-        actually bound (useful with ``port=0``); ``None`` when built
-        with ``listen=False``."""
-        if self.socket_path is not None:
-            return self.socket_path
-        if self._listener is None:
-            return None
-        return self._listener.getsockname()
+    def address(self) -> str | None:
+        """The socket path listened on; ``None`` for a server that only
+        adopts handed-over connections."""
+        return self.socket_path
 
     def start(self) -> None:
         """Spawn accept/worker/housekeeping threads and return."""
@@ -242,7 +221,7 @@ class AnalysisServer:
         self.log.info("drain_begin" if drain else "stop", drain=drain)
         # Release the endpoint *before* draining: draining can take
         # seconds, and a replacement server started on the same unix
-        # path / TCP port must be able to bind immediately — and must
+        # path must be able to bind immediately — and must
         # never have its freshly-bound socket unlinked by our own
         # post-drain cleanup (the restart race this ordering fixes).
         if self._listener is not None:
@@ -397,10 +376,6 @@ class AnalysisServer:
                 conn, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed by shutdown
-            if conn.family == socket.AF_INET:
-                # Small control/credit frames must not sit in Nagle's
-                # buffer — backpressure depends on their latency.
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conns.add(conn)
             t = threading.Thread(
                 target=self._client_loop, args=(conn,),
@@ -409,39 +384,38 @@ class AnalysisServer:
             t.start()
 
     def adopt_connection(
-        self, conn: socket.socket, hello: dict | None = None,
-        leftover: bytes = b"",
+        self, conn: socket.socket, hello: dict, leftover: bytes = b"",
+        assigned: str | None = None,
     ) -> None:
         """Ingest a connection accepted elsewhere (the sharded
         acceptor): spawn its reader thread as if we had accepted it.
 
-        ``hello`` is the already-parsed HELLO body when the acceptor
-        consumed that frame to route the connection; ``leftover`` is
-        whatever the acceptor's frame reader over-read past it.
+        ``hello`` is the HELLO body the acceptor consumed to route the
+        connection; ``leftover`` is whatever the acceptor's frame reader
+        over-read past it.  ``assigned`` is the id the acceptor chose
+        for a fresh session (``None`` for a resume, whose id is the
+        HELLO's ``session``).
         """
-        if conn.family == socket.AF_INET:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._conns.add(conn)
         self.log.debug(
-            "adopt_connection",
-            session=(hello or {}).get("assign") or (hello or {}).get("session"),
+            "adopt_connection", session=assigned or hello.get("session"),
         )
         t = threading.Thread(
-            target=self._client_loop, args=(conn, hello, leftover),
+            target=self._client_loop, args=(conn, hello, leftover, assigned),
             name="repro-reader", daemon=True,
         )
         t.start()
 
     def _client_loop(
         self, conn: socket.socket, first_hello: dict | None = None,
-        initial: bytes = b"",
+        initial: bytes = b"", assigned: str | None = None,
     ) -> None:
         """One connection: HELLO → session ingest, or standalone STAT."""
         session: ServiceSession | None = None
         reader = protocol.FrameReader(conn, initial)
         try:
             if first_hello is not None:
-                session = self._open_session(conn, first_hello)
+                session = self._open_session(conn, first_hello, assigned)
                 with session.send_lock:
                     protocol.send_json(
                         conn, protocol.WELCOME, session.welcome_payload()
@@ -522,8 +496,14 @@ class AnalysisServer:
         except OSError:
             pass
 
-    def _open_session(self, conn, hello: dict) -> ServiceSession:
-        """Build a fresh session, or resume one from its checkpoint."""
+    def _open_session(
+        self, conn, hello: dict, assigned: str | None = None
+    ) -> ServiceSession:
+        """Build a fresh session, or resume one from its checkpoint.
+
+        A fresh session gets ``assigned`` as its id when the acceptor
+        chose one, and the next id of this server's own otherwise;
+        nothing in the HELLO itself picks it."""
         trace = protocol.hello_id(hello, "trace")
         resume_id = protocol.hello_id(hello, "session")
         if resume_id is not None:
@@ -534,7 +514,9 @@ class AnalysisServer:
                 events=session.api.events_seen, trace=session.trace_id,
             )
         else:
-            session = self._fresh_session(conn, hello, trace=trace)
+            session = self._fresh_session(
+                conn, hello, session_id=assigned, trace=trace
+            )
             self.log.info(
                 "session_open", session=session.session_id,
                 config=session.config, trace=session.trace_id,
@@ -580,28 +562,22 @@ class AnalysisServer:
         return session
 
     def _fresh_session(
-        self, conn, hello: dict, *, trace: str | None = None
+        self, conn, hello: dict, *, session_id: str | None,
+        trace: str | None,
     ) -> ServiceSession:
         config = hello.get("config", "hwlc+dr")
         profile(config)  # validate before allocating anything
-        assigned = protocol.hello_id(hello, "assign")
         with self._sessions_lock:
-            if assigned is not None:
+            if session_id is not None:
                 # The sharded acceptor owns the id space and routed
                 # this connection here by hashing the id it chose; we
-                # only guard against an active duplicate and keep our
-                # own counter clear of the acceptor's.
+                # only guard against an active duplicate.
                 if (
-                    assigned in self._sessions
-                    or assigned in self._resuming
+                    session_id in self._sessions
+                    or session_id in self._resuming
                 ):
                     raise protocol.ProtocolError(
-                        f"session {assigned!r} is already active"
-                    )
-                session_id = assigned
-                if assigned.startswith("s") and assigned[1:].isdigit():
-                    self._next_session = max(
-                        self._next_session, int(assigned[1:])
+                        f"session {session_id!r} is already active"
                     )
             else:
                 while True:

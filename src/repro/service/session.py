@@ -56,12 +56,13 @@ class ServiceSession:
         self.session_id = session_id
         self.config = config
         self.server = server
-        #: Session-scoped trace correlation id.  The sharded acceptor
-        #: mints one and stamps it into the rewritten HELLO so the same
-        #: id reaches the owning worker (over SCM_RIGHTS handover or a
-        #: REDIRECT re-dial); a directly-addressed server mints its own.
-        #: It labels trace spans and log records on both sides, which
-        #: is what lets ``repro trace merge`` correlate them.
+        #: Session-scoped trace correlation id: the client's HELLO
+        #: ``trace``, or else one minted by the sharded acceptor and
+        #: forwarded with the HELLO over the SCM_RIGHTS handover, so
+        #: the same id reaches the owning worker; a server reached
+        #: directly mints its own.  It labels trace spans and log
+        #: records on both sides, which is what lets ``repro trace
+        #: merge`` correlate them.
         self.trace_id = (
             trace_id
             if trace_id is not None

@@ -7,21 +7,19 @@ no matter how many clients connect.  Per-session lock-set analysis is
 shared-nothing, which makes session-level sharding the natural scaling
 unit: this module promotes the service to a multi-process architecture.
 
-* A lightweight **acceptor** process owns the listening socket.  It
-  reads exactly one frame per connection — the HELLO — and routes the
-  session to one of N **worker processes** by consistent hashing on
-  the session id (:class:`HashRing`), so a given session always lands
-  on the same worker, across reconnects *and* across worker restarts.
-* On a **unix socket**, the accepted connection itself is handed to
-  the worker over SCM_RIGHTS (``socket.send_fds``), together with the
-  parsed HELLO and any bytes the acceptor's frame reader over-read;
-  the worker ingests directly from the client with the existing
-  credit-based backpressure — the acceptor never touches DATA.
-* On **TCP**, fds cannot cross the socketpair, so the acceptor answers
-  HELLO with a :data:`~repro.service.protocol.REDIRECT` naming the
-  worker's own port; the client reconnects there and re-sends the
-  rewritten HELLO (``repro.service.client.AnalysisClient`` follows
-  redirects transparently).
+* A lightweight **acceptor** process owns the one listening socket,
+  unix or TCP.  It reads exactly one frame per connection — the HELLO
+  — and routes the session to one of N **worker processes** by
+  consistent hashing on the session id (:class:`HashRing`), so a given
+  session always lands on the same worker, across reconnects *and*
+  across worker restarts.
+* The accepted connection itself is handed to the worker over
+  SCM_RIGHTS (``socket.send_fds``), together with the parsed HELLO,
+  the session id the acceptor assigned and any bytes the acceptor's
+  frame reader over-read; the worker ingests directly from the client
+  with the existing credit-based backpressure — the acceptor never
+  touches DATA.  Workers listen on nothing, so a session id reaches
+  them only over the control channel.
 * **Checkpoints are the failover unit**: all workers share one
   checkpoint directory, and the acceptor's **supervisor loop**
   restarts any worker that dies.  A killed worker's resumable
@@ -70,12 +68,12 @@ DEFAULT_REPLICAS = 64
 # Control protocol (acceptor ⇄ worker, over a unix socketpair)
 # ----------------------------------------------------------------------
 
-#: Worker → acceptor, once at startup: ``{"pid", "port"}`` (``port`` is
-#: null on unix transport, where the worker has no listener).
+#: Worker → acceptor, once at startup: ``{"pid"}``.
 OP_READY = 0x41
 #: Acceptor → worker: a routed connection.  The payload carries the
-#: rewritten HELLO and the acceptor's over-read bytes; the connection's
-#: fd rides the frame header as SCM_RIGHTS ancillary data.
+#: HELLO, the assigned id of a fresh session and the acceptor's
+#: over-read bytes; the connection's fd rides the frame header as
+#: SCM_RIGHTS ancillary data.
 OP_CONN = 0x42
 #: Acceptor → worker: send your metrics snapshot (reply: OP_STATS).
 OP_STAT = 0x43
@@ -203,17 +201,16 @@ class HashRing:
 
 
 class _WorkerHandle:
-    """One live worker process: subprocess + control channel + port."""
+    """One live worker process: subprocess + control channel."""
 
-    __slots__ = ("slot", "proc", "ctrl", "channel", "port", "pid", "lock", "dead")
+    __slots__ = ("slot", "proc", "ctrl", "channel", "pid", "lock", "dead")
 
     def __init__(self, slot: int, proc: subprocess.Popen,
-                 ctrl: socket.socket, port: int | None) -> None:
+                 ctrl: socket.socket) -> None:
         self.slot = slot
         self.proc = proc
         self.ctrl = ctrl
         self.channel = _ControlChannel(ctrl)
-        self.port = port
         self.pid = proc.pid
         #: Serialises control-channel request/response pairs (STAT) and
         #: handover sends, so frames from concurrent acceptor threads
@@ -275,7 +272,7 @@ class ShardedAnalysisServer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.registry_lock = threading.Lock()
         #: Structured logger for the acceptor's own edges (route,
-        #: handover, redirect, supervisor); workers get their own via
+        #: handover, supervisor); workers get their own via
         #: ``log_file``/``log_level``, forwarded on their command line
         #: (a subprocess cannot share a Python logger object).
         self.log = (logger if logger is not None else NULL_LOGGER).bind(
@@ -293,12 +290,10 @@ class ShardedAnalysisServer:
                 os.unlink(socket_path)
             self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._listener.bind(socket_path)
-            self._host = None
         else:
             self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._listener.bind((host, port))
-            self._host = self._listener.getsockname()[0]
         self._listener.listen(128)
 
         #: Fresh-session counter — the acceptor owns the id space so
@@ -327,10 +322,6 @@ class ShardedAnalysisServer:
         self._m_routed = self.registry.counter(
             "repro_service_routed_sessions_total",
             help="Sessions routed to a worker by the acceptor",
-        )
-        self._m_redirects = self.registry.counter(
-            "repro_service_redirects_total",
-            help="TCP sessions redirected to a per-worker port",
         )
         self._m_restarts = self.registry.counter(
             "repro_service_worker_restarts_total",
@@ -435,8 +426,6 @@ class ShardedAnalysisServer:
             "--threads", str(self.threads),
             "--queue-blocks", str(self.queue_blocks),
         ]
-        if self._host is not None:
-            cmd += ["--host", self._host]
         if self.idle_timeout:
             cmd += ["--idle-timeout", str(self.idle_timeout)]
         if self.checkpoint_dir:
@@ -463,9 +452,9 @@ class ShardedAnalysisServer:
         )
         proc = subprocess.Popen(cmd, pass_fds=(child.fileno(),), env=env)
         child.close()
-        handle = _WorkerHandle(slot, proc, parent, port=None)
-        # Block until READY: the worker has bound its port (TCP) and is
-        # ingesting; routing to a half-started worker would drop frames.
+        handle = _WorkerHandle(slot, proc, parent)
+        # Block until READY: the worker is ingesting; routing to a
+        # half-started worker would drop frames.
         parent.settimeout(60.0)
         try:
             frame = handle.channel.read()
@@ -477,11 +466,7 @@ class ShardedAnalysisServer:
         if frame is None or frame[0] != OP_READY:
             proc.kill()
             raise RuntimeError(f"shard worker {slot} failed to start")
-        ready = json.loads(frame[1])
-        handle.port = ready.get("port")
-        self.log.info(
-            "worker_spawn", slot=slot, worker_pid=proc.pid, port=handle.port
-        )
+        self.log.info("worker_spawn", slot=slot, worker_pid=proc.pid)
         return handle
 
     def _condemn(self, handle: _WorkerHandle) -> None:
@@ -557,6 +542,10 @@ class ShardedAnalysisServer:
             except OSError:
                 return
             if conn.family == socket.AF_INET:
+                # Small control/credit frames must not sit in Nagle's
+                # buffer — backpressure depends on their latency.  The
+                # option belongs to the socket, so it survives the
+                # handover to the worker.
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conns.add(conn)
             t = threading.Thread(
@@ -618,60 +607,45 @@ class ShardedAnalysisServer:
     def _route(self, conn: socket.socket, hello: dict,
                reader: protocol.FrameReader) -> None:
         """Consistent-hash the session id and hand the connection over."""
-        protocol.hello_id(hello, "trace")  # typed before it is forwarded
+        trace = protocol.hello_id(hello, "trace")
         session_id = protocol.hello_id(hello, "session")
+        assigned = None
         if session_id is None:
             # Fresh session: the acceptor assigns the id (so it can
             # route before any worker is involved) and validates the
-            # config early — a bad name fails here, not after a
-            # redirect round-trip.
+            # config early — a bad name fails here, not in a worker.
             from repro.api.profiles import profile
 
-            config = hello.get("config", "hwlc+dr")
-            profile(config)
-            session_id = self._assign_id()
-            hello = {"config": config, "assign": session_id}
-        # Session-scoped trace id, minted here (the one process that
-        # sees every session) and stamped into the rewritten HELLO so
-        # it reaches the owning worker over either transport — the
-        # SCM_RIGHTS payload carries the hello verbatim, and a
-        # redirected client re-sends the acceptor's hello as-is.
-        if "trace" not in hello:
-            hello = dict(hello)
-            hello["trace"] = f"{session_id}-{os.urandom(4).hex()}"
+            profile(hello.get("config", "hwlc+dr"))
+            session_id = assigned = self._assign_id()
+        # Session-scoped trace id: the client's own, or one minted here
+        # (the one process that sees every session).  It rides the
+        # forwarded HELLO to the owning worker.
+        if trace is None:
+            trace = f"{session_id}-{os.urandom(4).hex()}"
+            hello = {**hello, "trace": trace}
         slot = self.ring.slot(session_id)
         handle = self._live_handle(slot)
         self._m_routed.inc()
-        if self.socket_path is not None:
-            self.log.info(
-                "route", session=session_id, slot=slot,
-                worker_pid=handle.pid, transport="handover",
-                trace=hello["trace"],
-            )
-            self._handover(handle, conn, hello, reader.leftover())
-        else:
-            self._m_redirects.inc()
-            self.log.info(
-                "route", session=session_id, slot=slot,
-                worker_pid=handle.pid, transport="redirect",
-                port=handle.port, trace=hello["trace"],
-            )
-            protocol.send_json(
-                conn, protocol.REDIRECT,
-                {"host": self._host, "port": handle.port, "hello": hello},
-            )
+        self.log.info(
+            "route", session=session_id, slot=slot,
+            worker_pid=handle.pid, trace=trace,
+        )
+        self._handover(handle, conn, hello, assigned, reader.leftover())
         self._conns.discard(conn)
         try:
-            conn.close()  # the worker owns its own duplicate (unix) or
-        except OSError:   # a fresh connection (tcp) from here on
+            conn.close()  # the worker owns its own duplicate from here on
+        except OSError:
             pass
 
     def _handover(self, handle: _WorkerHandle, conn: socket.socket,
-                  hello: dict, leftover: bytes) -> None:
+                  hello: dict, assigned: str | None,
+                  leftover: bytes) -> None:
         """Pass the accepted connection to a worker over SCM_RIGHTS,
         retrying across a supervisor restart if the worker just died."""
         payload = json.dumps({
             "hello": hello,
+            "assign": assigned,
             "leftover": base64.b64encode(leftover).decode("ascii"),
         }).encode("utf-8")
         deadline = time.monotonic() + 10.0
@@ -783,12 +757,11 @@ class ShardedAnalysisServer:
                 "threads": self.threads,
             }
             if handle is None:
-                entry.update(pid=None, alive=False, port=None)
+                entry.update(pid=None, alive=False)
             else:
                 entry.update(
                     pid=handle.pid,
                     alive=not handle.dead and handle.proc.poll() is None,
-                    port=handle.port,
                 )
             out.append(entry)
         return out
@@ -800,7 +773,7 @@ class ShardedAnalysisServer:
 
 
 def worker_main(argv: list[str] | None = None) -> int:
-    """Run one shard worker: a listener-less (unix) or own-port (TCP)
+    """Run one shard worker: a listener-less
     :class:`~repro.service.server.AnalysisServer` driven by the
     acceptor's control channel."""
     import argparse
@@ -811,7 +784,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--slot", type=int, required=True)
     parser.add_argument("--control-fd", type=int, required=True)
-    parser.add_argument("--host", default=None)
     parser.add_argument("--threads", type=int, default=2)
     parser.add_argument("--queue-blocks", type=int, default=8)
     parser.add_argument("--idle-timeout", type=float, default=None)
@@ -869,7 +841,7 @@ def worker_main(argv: list[str] | None = None) -> int:
         )
 
     ctrl = socket.socket(fileno=args.control_fd)
-    kwargs = dict(
+    server = AnalysisServer(
         workers=args.threads,
         queue_blocks=args.queue_blocks,
         idle_timeout=args.idle_timeout,
@@ -882,17 +854,10 @@ def worker_main(argv: list[str] | None = None) -> int:
         tracer=tracer,
         trace_out=trace_out,
     )
-    if args.host is not None:
-        server = AnalysisServer(host=args.host, port=0, **kwargs)
-        port = server.address[1]
-    else:
-        server = AnalysisServer(listen=False, **kwargs)
-        port = None
     server.start()
-    server.log.info("worker_ready", slot=args.slot, port=port)
+    server.log.info("worker_ready", slot=args.slot)
     _ctrl_send(
-        ctrl, OP_READY,
-        json.dumps({"pid": os.getpid(), "port": port}).encode("utf-8"),
+        ctrl, OP_READY, json.dumps({"pid": os.getpid()}).encode("utf-8")
     )
 
     channel = _ControlChannel(ctrl)
@@ -916,8 +881,9 @@ def worker_main(argv: list[str] | None = None) -> int:
             conn = socket.socket(fileno=fd)
             server.adopt_connection(
                 conn,
-                hello=body.get("hello"),
+                hello=body["hello"],
                 leftover=base64.b64decode(body.get("leftover", "")),
+                assigned=body.get("assign"),
             )
         elif op == OP_STAT:
             with server.registry_lock:

@@ -41,12 +41,32 @@ BAD_HELLOS = {
 }
 
 
-def raw_hello(socket_path: str, body: dict) -> tuple[int, dict] | None:
+def connect(address: str | tuple[str, int], timeout: float) -> socket.socket:
+    """A raw client socket: ``address`` is a unix socket path or a TCP
+    ``(host, port)``, as a server's ``address`` gives it."""
+    if isinstance(address, str):
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(timeout)
+        sock.connect(address)
+        return sock
+    return socket.create_connection(address, timeout=timeout)
+
+
+def client_endpoint(address: str | tuple[str, int]) -> dict:
+    """``AnalysisClient``/``fetch_report`` endpoint keywords for a
+    server's ``address``."""
+    if isinstance(address, str):
+        return {"socket_path": address}
+    host, port = address
+    return {"host": host, "port": port}
+
+
+def raw_hello(
+    address: str | tuple[str, int], body: dict
+) -> tuple[int, dict] | None:
     """Send ``body`` as a HELLO exactly as given; the server's first
     answer as ``(frame type, JSON body)``, ``None`` if it hung up."""
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(10.0)
-        sock.connect(socket_path)
+    with connect(address, 10.0) as sock:
         protocol.send_json(sock, protocol.HELLO, body)
         frame = protocol.FrameReader(sock).read()
     if frame is None:
@@ -60,9 +80,7 @@ def raw_failing_session(socket_path: str) -> list[tuple[int, dict]]:
     every frame the server answers with, up to EOF.  The connection
     closes after the ERROR frame, so a read that waits 2 s for that EOF
     raises ``TimeoutError``."""
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(2.0)
-        sock.connect(socket_path)
+    with connect(socket_path, 2.0) as sock:
         protocol.send_json(sock, protocol.HELLO, {"config": "hwlc+dr"})
         protocol.send_frame(sock, protocol.DATA, b'{"type":"MemoryAccess"}\n')
         protocol.send_frame(sock, protocol.FINISH)

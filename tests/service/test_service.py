@@ -20,7 +20,8 @@ The contracts under test are the tentpole's acceptance criteria:
   ends the command with one ``error:`` line and exit status 2.
 
 Servers run in-process (threads), so each test owns its lifecycle and
-nothing leaks between tests.
+nothing leaks between tests; the backpressure test alone runs a
+one-worker TCP acceptor, the one path a TCP session takes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.service import (
     AnalysisServer,
     CheckpointStore,
     ServiceError,
+    ShardedAnalysisServer,
     fetch_report,
     protocol,
 )
@@ -65,8 +67,7 @@ def unix_server(tmp_path):
 
 
 def _family(server, name):
-    with server.registry_lock:
-        return server.registry.snapshot()["metrics"].get(name)
+    return server.stats_payload()["metrics"].get(name)
 
 
 def _sample_values(server, name):
@@ -528,11 +529,12 @@ class TestBackpressure:
     def test_queue_bound_and_stalls(self, traces):
         """A slow consumer (throttled worker) must cap the per-session
         buffer at ``queue_blocks`` and surface the client's credit
-        exhaustion as backpressure stalls."""
+        exhaustion as backpressure stalls — over TCP, on a connection
+        the acceptor handed to its worker."""
         path, reference = traces[("T2", "hwlc+dr")]
         bound = 3
-        server = AnalysisServer(
-            host="127.0.0.1", port=0, workers=1,
+        server = ShardedAnalysisServer(
+            host="127.0.0.1", port=0, workers=1, threads=1,
             queue_blocks=bound, throttle=0.01,
         )
         server.start()

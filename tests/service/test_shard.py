@@ -6,12 +6,16 @@ The contracts under test are the sharding PR's acceptance criteria:
   same worker slot in every process and run, and resizing the fleet
   remaps only ≈1/N of the id space;
 * every sharded report is **byte-identical** to its offline (and
-  in-process) twin, over both transports — unix sockets with
-  SCM_RIGHTS connection handover and TCP with per-worker REDIRECT —
-  and under the ``predictive`` profile too;
+  in-process) twin, over both transports — each accepted connection,
+  unix or TCP, is handed to its worker over SCM_RIGHTS — and under the
+  ``predictive`` profile too;
 * a worker killed with ``SIGKILL`` mid-session is **restarted by the
   supervisor** and the session resumes from its checkpoint on the
-  replacement, report still byte-identical;
+  replacement, report still byte-identical, over either transport;
+* only the server assigns a fresh session's id — a HELLO naming a
+  detached session's id cannot take over its checkpoint — no worker
+  process listens on any socket, and a client's own ``trace`` id
+  survives the acceptor;
 * ``STAT`` merges every worker's metrics into one view, with
   ``--per-worker`` exposing the unmerged per-process snapshots;
 * restarting ``repro serve`` on the same endpoint never races the old
@@ -34,6 +38,7 @@ import pytest
 from repro.service import (
     AnalysisClient,
     AnalysisServer,
+    CheckpointStore,
     HashRing,
     ServiceError,
     ShardedAnalysisServer,
@@ -42,7 +47,14 @@ from repro.service import (
 )
 from repro.service.client import DEFAULT_CHUNK_BYTES
 
-from tests.service.conftest import BAD_HELLOS, CASES, raw_failing_session, raw_hello
+from tests.service.conftest import (
+    BAD_HELLOS,
+    CASES,
+    client_endpoint,
+    connect,
+    raw_failing_session,
+    raw_hello,
+)
 
 
 def _metric_sum(snapshot: dict, name: str) -> float:
@@ -235,10 +247,10 @@ class TestShardedUnix:
 
 
 class TestShardedTcp:
-    def test_redirect_roundtrip_byte_identical(self, traces):
-        """TCP handover: the acceptor answers HELLO with REDIRECT to
-        the owning worker's port; the client follows it transparently
-        and the report is still byte-identical."""
+    def test_handover_roundtrip_byte_identical(self, traces):
+        """TCP handover: the acceptor passes the accepted connection to
+        the owning worker over SCM_RIGHTS, as it does a unix one, and
+        the report is still byte-identical."""
         server = ShardedAnalysisServer(
             host="127.0.0.1", port=0, workers=2, threads=1
         )
@@ -249,24 +261,28 @@ class TestShardedTcp:
             with AnalysisClient(
                 host=host, port=port, chunk_bytes=1024
             ) as client:
-                welcome = client.hello("hwlc+dr")
-                assert client.redirected_to is not None
-                assert client.redirected_to[1] != port  # a worker's port
-                session_id = welcome["session"]
-                # The redirect sent us to the slot the ring owns.
-                slot = server.ring.slot(session_id)
-                assert client.redirected_to[1] == server._slots[slot].port
+                client.hello("hwlc+dr")
                 client.stream_file(path)
                 assert client.finish() == reference
             merged = server.stats_payload()
-            assert _metric_sum(merged, "repro_service_redirects_total") == 1
+            assert _metric_sum(
+                merged, "repro_service_routed_sessions_total"
+            ) == 1
         finally:
             server.shutdown(drain=True, timeout=30.0)
 
 
+def _endpoint(transport: str, tmp_path) -> dict:
+    """``ShardedAnalysisServer`` endpoint keywords for ``transport``."""
+    if transport == "unix":
+        return {"socket_path": str(tmp_path / "shard.sock")}
+    return {"host": "127.0.0.1", "port": 0}
+
+
 class TestWorkerFailover:
+    @pytest.mark.parametrize("transport", ("unix", "tcp"))
     def test_sigkilled_worker_restarts_and_session_resumes(
-        self, tmp_path, traces
+        self, tmp_path, traces, transport
     ):
         """kill -9 a worker mid-session: the supervisor restarts the
         slot, the session re-routes to the replacement (same hash
@@ -275,14 +291,15 @@ class TestWorkerFailover:
         path, reference = traces[("T2", "hwlc+dr")]
         data = path.read_bytes()
         server = ShardedAnalysisServer(
-            socket_path=str(tmp_path / "shard.sock"),
+            **_endpoint(transport, tmp_path),
             workers=2,
             threads=1,
             checkpoint_dir=str(tmp_path / "ckpt"),
             checkpoint_every=1,
         )
         server.start()
-        client = AnalysisClient(socket_path=server.address, chunk_bytes=1024)
+        endpoint = client_endpoint(server.address)
+        client = AnalysisClient(**endpoint, chunk_bytes=1024)
         try:
             client.hello("hwlc+dr")
             session_id = client.session_id
@@ -319,10 +336,7 @@ class TestWorkerFailover:
             # Resume: routed by the same ring to the replacement, which
             # restores the checkpoint; report must match byte-for-byte.
             got = fetch_report(
-                path,
-                socket_path=server.address,
-                session=session_id,
-                chunk_bytes=1024,
+                path, **endpoint, session=session_id, chunk_bytes=1024
             )
             assert got == reference
             merged = server.stats_payload()
@@ -333,6 +347,138 @@ class TestWorkerFailover:
         finally:
             client.close()
             server.shutdown(drain=True, timeout=30.0)
+
+
+@pytest.fixture(params=("in-process", "acceptor"))
+def checkpointing_server(request, tmp_path):
+    """An in-process unix ``AnalysisServer`` or a one-worker TCP
+    acceptor, each checkpointing after every chunk into
+    ``tmp_path/ckpt``."""
+    kwargs = {"checkpoint_dir": str(tmp_path / "ckpt"), "checkpoint_every": 1}
+    if request.param == "in-process":
+        server = AnalysisServer(
+            socket_path=str(tmp_path / "a.sock"), workers=1, **kwargs
+        )
+    else:
+        server = ShardedAnalysisServer(
+            host="127.0.0.1", port=0, workers=1, threads=1, **kwargs
+        )
+    server.start()
+    yield server
+    server.shutdown(drain=True, timeout=30.0)
+
+
+def _listening_inodes() -> set[int]:
+    """Socket inodes of every listening TCP (v4 and v6) and unix
+    socket in this network namespace, read from Linux ``/proc/net``."""
+    inodes: set[int] = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        if not os.path.exists(table):
+            continue
+        with open(table) as fh:
+            next(fh)
+            for line in fh:
+                fields = line.split()
+                if fields[3] == "0A":  # st: TCP_LISTEN
+                    inodes.add(int(fields[9]))
+    with open("/proc/net/unix") as fh:
+        next(fh)
+        for line in fh:
+            fields = line.split()
+            if int(fields[3], 16) & 0x10000:  # flags: __SO_ACCEPTCON
+                inodes.add(int(fields[6]))
+    return inodes
+
+
+def _socket_inodes(pid: int) -> set[int]:
+    """Inodes of the sockets process ``pid`` holds open."""
+    inodes: set[int] = set()
+    fd_dir = f"/proc/{pid}/fd"
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:
+            continue  # closed since the listing
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
+class TestSessionIdentity:
+    def test_hello_cannot_take_over_a_detached_session(
+        self, checkpointing_server, traces, tmp_path
+    ):
+        """A HELLO carrying ``assign`` with a detached session's id gets
+        a fresh id of the server's choosing: its FINISH leaves the
+        owner's checkpoint alone, and the owner's resume still returns
+        the byte-identical report."""
+        server = checkpointing_server
+        endpoint = client_endpoint(server.address)
+        store = CheckpointStore(tmp_path / "ckpt")
+        path, reference = traces[("T2", "hwlc+dr")]
+        data = path.read_bytes()
+        with AnalysisClient(**endpoint, chunk_bytes=1024) as owner:
+            owner.hello("hwlc+dr")
+            owner_id = owner.session_id
+            for pos in range(0, len(data) // 2, 1024):
+                owner.send(data[pos:pos + 1024])
+            assert _wait_until(lambda: store.session_ids() == [owner_id])
+        assert _wait_until(lambda: not server.sessions_payload())
+
+        with connect(server.address, 10.0) as sock:
+            protocol.send_json(
+                sock, protocol.HELLO, {"config": "hwlc+dr", "assign": owner_id}
+            )
+            reader = protocol.FrameReader(sock)
+            ftype, payload = reader.read()
+            assert ftype == protocol.WELCOME
+            assert protocol.decode_json(payload)["session"] != owner_id
+            protocol.send_frame(sock, protocol.FINISH)
+            assert reader.read()[0] == protocol.REPORT
+        assert _wait_until(lambda: not server.sessions_payload())
+        assert owner_id in store.session_ids()
+        assert fetch_report(path, **endpoint, session=owner_id) == reference
+
+    def test_no_worker_listens(self):
+        """Only the acceptor listens: a TCP service with N workers holds
+        one listening socket, not N + 1."""
+        if not os.path.exists("/proc/net/unix"):
+            pytest.skip("reads Linux /proc")
+        server = ShardedAnalysisServer(
+            host="127.0.0.1", port=0, workers=2, threads=1
+        )
+        server.start()
+        try:
+            listening = _listening_inodes()
+            assert os.fstat(server._listener.fileno()).st_ino in listening
+            for handle in server._slots:
+                held = _socket_inodes(handle.pid)
+                assert held, f"w{handle.slot} holds no socket at all"
+                assert not held & listening, f"w{handle.slot} listens"
+        finally:
+            server.shutdown(drain=True, timeout=30.0)
+
+    def test_client_trace_id_survives_routing(self, checkpointing_server):
+        """A client's own ``trace`` id is the session's, fresh or
+        resumed; only a session whose client sent none gets a minted
+        one, which names the session."""
+        address = checkpointing_server.address
+        ftype, welcome = raw_hello(
+            address, {"config": "hwlc+dr", "trace": "client-trace-1"}
+        )
+        assert ftype == protocol.WELCOME
+        assert welcome["trace"] == "client-trace-1"
+        ftype, minted = raw_hello(address, {"config": "hwlc+dr"})
+        assert ftype == protocol.WELCOME
+        assert minted["trace"].startswith(minted["session"] + "-")
+        # Both connections closed: each session detached to a
+        # checkpoint, so both resume.
+        assert _wait_until(lambda: not checkpointing_server.sessions_payload())
+        ftype, resumed = raw_hello(
+            address, {"session": minted["session"], "trace": "client-trace-2"}
+        )
+        assert ftype == protocol.WELCOME, resumed
+        assert resumed["trace"] == "client-trace-2"
 
 
 class TestShutdownOrder:

@@ -77,6 +77,20 @@ class TestApiDoc:
         assert rows == [(p.name, p.description) for p in profiles()]
 
 
+class TestServiceDoc:
+    def test_frame_table_is_the_protocol(self):
+        """The frame table in docs/SERVICE.md names exactly the frame
+        types ``repro.service.protocol`` defines, in both directions."""
+        from repro.service import protocol
+
+        text = (DOCS / "SERVICE.md").read_text(encoding="utf-8")
+        section = text.split("## The wire protocol", 1)[1].split("\n## ", 1)[0]
+        table = section.split("| frame | direction | payload |", 1)[1]
+        rows = re.findall(r"^\| `([A-Z]+)` \|", table.split("\n\n", 1)[0], re.M)
+        assert len(rows) == len(set(rows)), rows
+        assert set(rows) == set(protocol._NAMES.values())
+
+
 class TestReadme:
     def test_quickstart_block_runs(self):
         blocks = _code_blocks(ROOT / "README.md", "python")
