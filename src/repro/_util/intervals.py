@@ -54,7 +54,9 @@ class IntervalSet:
 
     Supports membership queries in O(log n).  Adding an interval merges
     it with any intervals it touches, so the internal representation
-    stays disjoint and sorted.
+    stays disjoint and sorted.  ``_starts`` is empty exactly when the
+    set is: a per-event path tests it for truth, which costs no Python
+    call, before asking for membership.
     """
 
     def __init__(self) -> None:
@@ -79,8 +81,7 @@ class IntervalSet:
         return idx >= 0 and addr < self._ends[idx]
 
     def __len__(self) -> int:
-        """Number of disjoint intervals (also makes emptiness testable,
-        which lets hot paths skip the bisect entirely)."""
+        """Number of disjoint intervals."""
         return len(self._starts)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:

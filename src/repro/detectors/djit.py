@@ -241,7 +241,8 @@ class DjitDetector(EventDispatcher):
 
     @handles(MemoryAccess)
     def _on_access(self, event: MemoryAccess, vm) -> None:
-        if event.addr in self._benign:
+        benign = self._benign
+        if benign._starts and event.addr in benign:
             return
         log = self._log.get(event.addr)
         if log is None:

@@ -420,7 +420,7 @@ class HelgrindDetector(EventDispatcher):
         """Per-event access path: inject the bus lock
         (:meth:`_effective_ids`), then run the machine's Figure 1 rule."""
         benign = self._benign
-        if benign and event.addr in benign:
+        if benign._starts and event.addr in benign:
             return
         self._access_checks += 1
         tid = event.tid

@@ -336,7 +336,8 @@ class PredictiveDetector(HelgrindDetector):
         access in the steady state: the dedup key usually exists)."""
         super()._on_access(event, vm)
         addr = event.addr
-        if self._benign and addr in self._benign:
+        benign = self._benign
+        if benign._starts and addr in benign:
             return
         if self._vm is None:
             self._vm = vm

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.runtime.events import CallStack
 
-__all__ = ["ThreadState", "SimThread", "Baton"]
+__all__ = ["ThreadState", "SimThread", "Baton", "Spin"]
 
 
 class ThreadState(enum.Enum):
@@ -88,6 +88,31 @@ class Baton:
         os.close(self._write)
 
 
+class Spin:
+    """A guest thread's :meth:`~repro.runtime.vm.GuestAPI.spin`, in flight.
+
+    The loop it stands for is ``for _ in range(tries): if ready(): return
+    True`` with ``traps`` yields after each failed test, then ``return
+    False``; ``tries=None`` loops forever.  Whichever carrier the
+    scheduler's pick lands on steps it: ``tries`` counts the tests left,
+    ``pending`` the traps the last failed test still owes, and
+    ``result`` turns ``True`` or ``False`` once the spin is decided
+    (``error`` is then what ``ready`` raised, if it raised).
+    """
+
+    __slots__ = ("ready", "tries", "traps", "pending", "result", "error")
+
+    def __init__(self, ready: Callable[[], object], tries: int | None, traps: int) -> None:
+        self.ready = ready
+        # As many tests as the loop's ``range(tries)`` makes: none for a
+        # negative count, a TypeError for a non-integer one.
+        self.tries = None if tries is None else len(range(tries))
+        self.traps = traps
+        self.pending = 0
+        self.result: bool | None = None
+        self.error: BaseException | None = None
+
+
 class SimThread:
     """One guest thread.
 
@@ -125,6 +150,9 @@ class SimThread:
         self.frames: list = []
         #: Number of traps this thread has performed.
         self.steps = 0
+        #: The spin this thread is in, while it is in one (its carrier
+        #: may be parked meanwhile: see :class:`Spin`).
+        self.spin: Spin | None = None
 
         # --- carrier plumbing (owned by the VM) -----------------------
         self.carrier: threading.Thread | None = None

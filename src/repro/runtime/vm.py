@@ -26,6 +26,13 @@ Execution model
   interleave guest threads at single-access granularity — finer than the
   real OS, which is what lets seed sweeps expose the §4.3 schedule-
   dependent false negatives on demand.
+* A thread waiting on host state spins through :meth:`GuestAPI.spin`
+  (the proxy's ``trylock`` watchdog, SIPp-style dialog pacing,
+  ``sleep``).  When a pick lands on a spinning thread, the carrier that
+  made the pick runs its failed tests and their traps itself, with the
+  same trap count and scheduler decisions, and wakes the spinner's
+  carrier only once its test passes or its tries run out: a pick that
+  changes nothing in the guest costs no hand-off.
 
 Races are *real* here: two guest threads doing ``load``/``store``
 increments on the same word genuinely lose updates under the right
@@ -82,7 +89,7 @@ from repro.runtime.sync import (
     SimSemaphore,
     _Waitable,
 )
-from repro.runtime.thread import Baton, SimThread, ThreadState
+from repro.runtime.thread import Baton, SimThread, Spin, ThreadState
 
 __all__ = ["VM", "GuestAPI", "VMStats"]
 
@@ -105,8 +112,9 @@ class VMStats:
 
     ``events`` counts emitted events by type name; ``switches`` counts
     *actual* carrier hand-offs (the expensive part — the VM skips the
-    hand-off when no other thread is runnable); ``traps`` counts
-    scheduling opportunities.
+    hand-off when no other thread is runnable, and runs a picked
+    spinning thread's failed tests on the carrier that picked it);
+    ``traps`` counts scheduling opportunities, spun ones included.
 
     Counting happens on the per-event fast path, so the tally is keyed
     by event *class* internally (one dict operation, no ``__name__``
@@ -346,7 +354,7 @@ class VM:
                 if blocked:
                     raise DeadlockError([(t.tid, t.blocked_on) for t in blocked])
                 return  # all threads finished
-            chosen = self._choose(None)
+            chosen = self._pick(None)
             self.stats.switches += 1
             self._control.hand_to(chosen.resume)
             self._control.wait()
@@ -358,6 +366,75 @@ class VM:
             run_queue = tuple(sorted(self._runnable.values(), key=_BY_TID))
             self._run_queue = run_queue
         return self.scheduler.pick(run_queue, current)
+
+    def _pick(self, current: SimThread | None) -> SimThread:
+        """The thread that must run next: every decision point asks here.
+
+        ``current`` is the thread whose carrier asks (``None`` for the
+        quiescence loop and a finished thread).  A pick of another
+        thread in :meth:`GuestAPI.spin` steps its spin on this carrier.
+        """
+        chosen = self._choose(current)
+        if chosen is current or chosen.spin is None:
+            return chosen
+        return self._step_spins(chosen, current)
+
+    def _step_spins(self, chosen: SimThread, current: SimThread | None) -> SimThread:
+        """Run picked spins on this carrier until a pick lands on
+        ``current`` or on a thread that must run, and return that thread.
+
+        A failed test owes its spin's traps, and each is what
+        ``_switch(chosen)`` would do short of the hand-off: count it,
+        honour an abort, keep a lone runnable thread without asking the
+        policy, else pick with ``chosen`` as the current thread.  A
+        passing test, a spent last try or a test that raised decides the
+        spin, and a decided spinner must run: its carrier returns the
+        result (or raises the error) without testing again.
+        """
+        stats = self.stats
+        runnable = self._runnable
+        while chosen is not current:
+            spin = chosen.spin
+            if spin is None or spin.result is not None:
+                break
+            if spin.pending:
+                spin.pending -= 1
+                stats.traps += 1
+                if self._aborting:
+                    raise _GuestAbort()
+                if len(runnable) > 1:  # a spinning thread is runnable
+                    chosen = self._choose(chosen)
+            elif spin.tries == 0:
+                spin.result = False
+            else:
+                try:
+                    passed = spin.ready()
+                except Exception as exc:  # faults the spinner, on its carrier
+                    spin.error = exc
+                    spin.result = False
+                    continue
+                if passed:
+                    spin.result = True
+                    continue
+                if spin.tries is not None:
+                    spin.tries -= 1
+                spin.pending = spin.traps
+        return chosen
+
+    def _spin(self, thread: SimThread, spin: Spin) -> bool:
+        """:meth:`GuestAPI.spin` on the spinner's own carrier."""
+        thread.spin = spin
+        try:
+            chosen = self._step_spins(thread, None)
+            if chosen is not thread:
+                self.stats.switches += 1
+                thread.resume.hand_to(chosen.resume)
+                self._wait_turn(thread)  # whoever wakes us decided the spin
+        finally:
+            thread.spin = None
+        if spin.error is not None:
+            raise spin.error
+        return spin.result
 
     def _abort_carriers(self) -> None:
         """Stop the guest: every carrier unwinds via :class:`_GuestAbort`.
@@ -458,14 +535,10 @@ class VM:
                 thread.resume.hand_to(self._control)
         else:
             self._wake_joiners(thread)
-            # Hand control onward: directly to a runnable carrier, or to the
-            # quiescence loop if the guest world just went quiet.
-            if self._runnable:
-                chosen = self._choose(None)
-                self.stats.switches += 1
-                thread.resume.hand_to(chosen.resume)
-            else:
-                thread.resume.hand_to(self._control)
+            try:
+                self._hand_on(thread, None)
+            except _GuestAbort:
+                pass  # the run aborted while this carrier stepped a spin
         finally:
             self._retire(thread)
 
@@ -510,7 +583,7 @@ class VM:
         runnable = self._runnable
         if len(runnable) == 1 and thread.tid in runnable:
             return
-        chosen = self._choose(thread)
+        chosen = self._pick(thread)
         if chosen is thread:
             return  # the policy kept us running: no host switch at all
         self.stats.switches += 1
@@ -518,20 +591,22 @@ class VM:
         self._wait_turn(thread)
 
     def _park_and_dispatch(self, thread: SimThread) -> None:
-        """``thread`` just became non-runnable: hand control onward.
-
-        Directly to another runnable carrier if one exists, otherwise to
-        the quiescence loop (which will detect deadlock or completion).
-        """
+        """``thread`` just became non-runnable: hand control onward."""
         if self._aborting:
             raise _GuestAbort()  # the run is over: unwind, hand control to no one
+        self._hand_on(thread, thread)
+        self._wait_turn(thread)
+
+    def _hand_on(self, thread: SimThread, current: SimThread | None) -> None:
+        """Hand control from ``thread``'s carrier directly to the next
+        thread that must run, or to the quiescence loop (which detects
+        deadlock or completion) if the guest world just went quiet."""
         if self._runnable:
-            chosen = self._choose(thread)
+            chosen = self._pick(current)
             self.stats.switches += 1
             thread.resume.hand_to(chosen.resume)
         else:
             thread.resume.hand_to(self._control)
-        self._wait_turn(thread)
 
     def _block(self, thread: SimThread, reason: str, waitable: _Waitable) -> None:
         """Park ``thread`` on ``waitable`` until another thread wakes it."""
@@ -1088,8 +1163,30 @@ class GuestAPI:
 
     def sleep(self, ticks: int) -> None:
         """Yield ``ticks`` times (there is no wall clock in the guest)."""
-        for _ in range(ticks):
-            self.vm._switch(self.thread)
+        self.spin(lambda: False, tries=ticks)
+
+    def spin(
+        self, ready: Callable[[], object], *, tries: int | None = None, traps: int = 1
+    ) -> bool:
+        """Spin until ``ready()`` is true; ``False`` once ``tries`` run out.
+
+        The same traps and scheduling decisions as the loop ::
+
+            for _ in range(tries):          # forever if tries is None
+                if ready():
+                    return True
+                for _ in range(traps):
+                    api.yield_()
+            return False
+
+        but a pick of a spinning thread runs its failed tests and their
+        traps on whichever carrier made the pick, and wakes this
+        thread's carrier only when the spin is decided.  So ``ready``
+        must read host state only and call no ``GuestAPI`` method: it
+        may run on another thread's carrier.  An exception it raises
+        there still faults this thread, raised from ``spin``.
+        """
+        return self.vm._spin(self.thread, Spin(ready, tries, traps))
 
     # ------------------------------------------------------------------
     # Client requests (Valgrind's guest → tool channel)

@@ -52,6 +52,7 @@ import struct
 
 __all__ = [
     "FrameReader",
+    "HELLO_TIMEOUT_S",
     "MAX_FRAME",
     "ProtocolError",
     "decode_json",
@@ -70,6 +71,12 @@ HEADER = struct.Struct("!BI")
 #: Upper bound on a single frame's payload — a malformed length
 #: prefix must not make the server allocate gigabytes.
 MAX_FRAME = 16 * 1024 * 1024
+
+#: Bound, in seconds, on each read of a connection that has not sent
+#: HELLO yet (standalone STAT requests included).  A connection silent
+#: that long gets an ERROR naming the bound and is closed, so it cannot
+#: hold a server thread forever; an open session is the idle reaper's.
+HELLO_TIMEOUT_S = 30.0
 
 # Client → server.
 HELLO = 1

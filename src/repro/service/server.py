@@ -420,6 +420,8 @@ class AnalysisServer:
                     protocol.send_json(
                         conn, protocol.WELCOME, session.welcome_payload()
                     )
+            else:
+                conn.settimeout(protocol.HELLO_TIMEOUT_S)
             while True:
                 frame = reader.read()
                 if frame is None:
@@ -441,6 +443,7 @@ class AnalysisServer:
                 elif ftype == protocol.HELLO:
                     if session is not None:
                         raise protocol.ProtocolError("duplicate HELLO")
+                    conn.settimeout(None)  # the idle reaper watches a session
                     session = self._open_session(conn, protocol.decode_json(payload))
                     with session.send_lock:
                         protocol.send_json(
@@ -472,6 +475,10 @@ class AnalysisServer:
                 error=f"{type(exc).__name__}: {exc}",
             )
             self._send_error(conn, session, f"{type(exc).__name__}: {exc}")
+        except TimeoutError:
+            message = f"no HELLO within {protocol.HELLO_TIMEOUT_S:g} s"
+            self.log.warning("protocol_error", session=None, error=message)
+            self._send_error(conn, session, message)
         except OSError:
             pass  # peer vanished; detach below persists progress
         finally:

@@ -560,6 +560,7 @@ class ShardedAnalysisServer:
         session and ends the acceptor's involvement."""
         reader = protocol.FrameReader(conn)
         try:
+            conn.settimeout(protocol.HELLO_TIMEOUT_S)
             while True:
                 frame = reader.read()
                 if frame is None:
@@ -584,6 +585,8 @@ class ShardedAnalysisServer:
             self._send_error(conn, str(exc))
         except (ValueError, KeyError) as exc:
             self._send_error(conn, f"{type(exc).__name__}: {exc}")
+        except TimeoutError:
+            self._send_error(conn, f"no HELLO within {protocol.HELLO_TIMEOUT_S:g} s")
         except OSError:
             pass
         finally:
@@ -631,6 +634,10 @@ class ShardedAnalysisServer:
             "route", session=session_id, slot=slot,
             worker_pid=handle.pid, trace=trace,
         )
+        # A timeout makes the socket non-blocking, and that flag belongs
+        # to the file description the worker's duplicate shares: the
+        # worker's blocking reads would fail with BlockingIOError.
+        conn.settimeout(None)
         self._handover(handle, conn, hello, assigned, reader.leftover())
         self._conns.discard(conn)
         try:

@@ -181,10 +181,11 @@ class _AppMutex:
                 # watchdog cares about).
                 api.store(self.book, api.tid)
                 api.store(self.book + 1, api.vm.clock)
-            for _ in range(self.SPIN_LIMIT):
-                if api.trylock(self.mutex):
-                    return
-                api.yield_()
+            # ``trylock`` then ``yield_`` while the mutex is held: a
+            # failed trylock traps once and the yield once more.
+            if api.spin(lambda: not self.mutex.held, tries=self.SPIN_LIMIT, traps=2):
+                api.trylock(self.mutex)  # free since the test: nothing ran between
+                return
             # Watchdog fired: report, then block for real.
             self.proxy._record_failure(
                 f"lock timeout on {self.name} (thread {api.tid})"
@@ -470,7 +471,7 @@ class SipProxy:
     # ------------------------------------------------------------------
     #
     # Both routines pace themselves through *host-side* flags polled via
-    # ``api.yield_()`` — the same trick ``_pace_dialog`` uses — so the
+    # ``api.spin`` — the same trick ``_pace_dialog`` uses — so the
     # dangerous interleaving is out of reach of every schedule the VM
     # can pick, yet no happens-before edge exists that would let a live
     # detector excuse (or a predictive one miss) the fault.
@@ -528,8 +529,7 @@ class SipProxy:
         """Domain refresh: takes the domain lock, then delegates the
         registrar sync to a helper thread *while still holding it* —
         the inversion's second half lives in the helper."""
-        while not self._latent_flags.get("audit-done"):
-            api.yield_()
+        api.spin(lambda: self._latent_flags.get("audit-done"))
         with api.frame("DomainRefresh::run", _SRC, 720):
             self._domain_lock.lock(api)
             api.at(722)
@@ -556,8 +556,7 @@ class SipProxy:
     def _latent_reader_main(self, api) -> None:
         """Disciplined reader: polls the probe under the statistics
         lock, paced (host-side) to run only after the warm-up."""
-        while not self._latent_flags.get("probe-ready"):
-            api.yield_()
+        api.spin(lambda: self._latent_flags.get("probe-ready"))
         with api.frame("StatsProbe::poll", _SRC, 770):
             self._stats_lock.lock(api)
             api.at(772)
@@ -602,8 +601,7 @@ class SipProxy:
             return
         already_sent = self._sent.get(call_id, 0)
         if already_sent:
-            while self._processed.get(call_id, 0) < already_sent:
-                api.yield_()
+            api.spin(lambda: self._processed.get(call_id, 0) >= already_sent)
         self._sent[call_id] = already_sent + 1
 
     def _serve_thread_pool(self, api, wire_messages: list[str]) -> None:

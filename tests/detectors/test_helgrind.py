@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.profiles import profile
 from repro.detectors import (
     BUS_LOCK_ID,
     BusLockModel,
@@ -360,6 +361,31 @@ class TestClientRequests:
 
         det = run_with(HelgrindConfig.original(), program)
         assert det.report.location_count == 0
+
+    @pytest.mark.parametrize("name", ["hwlc+dr", "djit", "predictive"])
+    def test_benign_range_silences_only_itself(self, name):
+        """Each per-event access path gates on the declared ranges: the
+        declared word is silent, its undeclared twin still races."""
+
+        def program(api):
+            words = api.malloc(2, tag="stats")
+            api.store(words, 0)
+            api.store(words + 1, 0)
+            api.benign_race(words, 1)
+
+            def w(a):
+                for addr in (words, words + 1):
+                    a.store(addr, a.load(addr) + 1)
+
+            t1, t2 = api.spawn(w), api.spawn(w)
+            api.join(t1)
+            api.join(t2)
+            return words
+
+        det = profile(name).detector()
+        words = VM(detectors=(det,)).run(program)
+        raced = {w.addr for w in det.report.warnings}
+        assert words + 1 in raced and words not in raced
 
     def test_hg_clean_forgets_state(self):
         def program(api):

@@ -404,6 +404,53 @@ def _socket_inodes(pid: int) -> set[int]:
     return inodes
 
 
+class TestSilentConnections:
+    @pytest.mark.parametrize(
+        ("kind", "handler"),
+        [("in-process", "repro-reader"), ("acceptor", "repro-shard-handshake")],
+    )
+    def test_a_connection_without_hello_is_closed_with_an_error(
+        self, kind, handler, tmp_path, traces, monkeypatch
+    ):
+        """A connection that never sends HELLO gets an ERROR naming the
+        bound, then EOF, and its server thread ends; the idle reaper
+        alone would never see it.  A session afterwards reports what
+        offline replay does."""
+        monkeypatch.setattr(protocol, "HELLO_TIMEOUT_S", 0.3)
+        path, reference = traces[("T1", "hwlc+dr")]
+        sock_path = str(tmp_path / "s.sock")
+        if kind == "in-process":
+            server = AnalysisServer(socket_path=sock_path, workers=1, idle_timeout=0.5)
+        else:
+            server = ShardedAnalysisServer(
+                socket_path=sock_path, workers=1, threads=1, idle_timeout=0.5
+            )
+
+        def handlers() -> set:
+            return {t for t in threading.enumerate() if t.name == handler}
+
+        server.start()
+        try:
+            before = handlers()
+            silent = [connect(server.address, 5.0) for _ in range(3)]
+            try:
+                for sock in silent:
+                    reader = protocol.FrameReader(sock)
+                    ftype, payload = reader.read()
+                    assert ftype == protocol.ERROR
+                    assert protocol.decode_json(payload) == {
+                        "error": "no HELLO within 0.3 s"
+                    }
+                    assert reader.read() is None
+            finally:
+                for sock in silent:
+                    sock.close()
+            assert _wait_until(lambda: not handlers() - before, timeout=5.0)
+            assert fetch_report(path, socket_path=server.address) == reference
+        finally:
+            server.shutdown(drain=True, timeout=30.0)
+
+
 class TestSessionIdentity:
     def test_hello_cannot_take_over_a_detached_session(
         self, checkpointing_server, traces, tmp_path

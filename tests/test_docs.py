@@ -59,7 +59,7 @@ class TestGuestApiDoc:
         for method in (
             "malloc", "free", "load", "store", "atomic_add", "atomic_cas",
             "mutex", "rwlock", "cond_wait", "sem_post", "barrier_wait",
-            "spawn", "join", "hg_destruct", "benign_race",
+            "spawn", "join", "spin", "hg_destruct", "benign_race",
         ):
             assert method in text, method
             assert hasattr(GuestAPI, method.split("(")[0]), method
