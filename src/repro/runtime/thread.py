@@ -148,7 +148,9 @@ class SimThread:
 
         #: Guest call stack, innermost last (reversed on snapshot).
         self.frames: list = []
-        #: Number of traps this thread has performed.
+        #: Number of events this thread has emitted (``GuestAPI._emit``
+        #: and ``_emit_and_switch`` count them).  Not its traps: a
+        #: yield and a spin's failed test trap without an event.
         self.steps = 0
         #: The spin this thread is in, while it is in one (its carrier
         #: may be parked meanwhile: see :class:`Spin`).

@@ -363,6 +363,8 @@ class AnalysisServer:
             session.closed = True
             self._sessions.pop(session.session_id, None)
             self._m_active.set(len(self._sessions))
+        with self.registry_lock:
+            session.fold_metrics(self.registry)
         if drop_checkpoint and self.checkpoints is not None:
             self.checkpoints.delete(session.session_id)
 

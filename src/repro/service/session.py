@@ -17,7 +17,9 @@ Threading contract: ``enqueue``/``request_finish``/``detach`` run on
 the connection's reader thread; ``process_batch`` runs on exactly one
 worker thread at a time (the server's schedule flag guarantees it);
 metric writes are per-session-labelled so the two never contend on the
-same sample.
+same sample.  At release the session's samples fold into each family's
+unlabelled sample (:meth:`ServiceSession.fold_metrics`), under the
+server's registry lock, so a served session leaves no series behind.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ __all__ = ["ServiceSession"]
 #: Queue sentinels (reader → worker control flow, ordered with data).
 _FINISH = object()
 _DETACH = object()
+
+#: The ``session``-labelled series that outlive the session as part of
+#: their family's unlabelled sample; ``repro_service_queue_depth`` is
+#: dropped instead.
+_FOLDED_SERIES = (
+    "repro_service_bytes_ingested_total",
+    "repro_service_events_total",
+    "repro_service_queue_high_water",
+    "repro_service_backpressure_stalls_total",
+    "repro_service_checkpoints_total",
+)
 
 
 class ServiceSession:
@@ -124,6 +137,17 @@ class ServiceSession:
             "repro_service_checkpoints_total", labels,
             help="Session checkpoints written",
         )
+
+    def fold_metrics(self, reg) -> None:
+        """Fold this session's series into their families' unlabelled
+        samples (counters add, the high-water gauge keeps the max) and
+        drop its queue depth.  Every sum over a family's samples keeps
+        its value; the ``session`` label exists only while the session
+        is open.  Called once, at release, under the registry lock."""
+        labels = {"session": self.session_id}
+        for name in _FOLDED_SERIES:
+            reg.fold(name, labels)
+        reg.remove("repro_service_queue_depth", labels)
 
     # ------------------------------------------------------------------
     # Reader-thread side
@@ -278,7 +302,6 @@ class ServiceSession:
         with self.server.registry_lock:
             self.server.registry.counter(
                 "repro_service_analysis_errors_total",
-                {"session": self.session_id},
                 help="Sessions aborted by a decode/analysis error",
             ).inc()
         conn = self.conn

@@ -280,6 +280,22 @@ class MetricsRegistry:
             return 0.0
         return metric.value  # type: ignore[union-attr]
 
+    def remove(self, name: str, labels: dict[str, str]):
+        """Drop the child at ``labels``; return it, or ``None`` if absent."""
+        family = self._families.get(name)
+        if family is None:
+            return None
+        return family.children.pop(_label_key(labels), None)
+
+    def fold(self, name: str, labels: dict[str, str]) -> None:
+        """Merge the child at ``labels`` into the family's unlabelled
+        child, then drop it, so the family's total over its samples
+        keeps its value: counters and histograms add, gauges follow
+        their merge mode."""
+        metric = self.remove(name, labels)
+        if metric is not None:
+            self._families[name].child(None)._merge(metric._sample())
+
     # ------------------------------------------------------------------
     # Snapshot / merge
     # ------------------------------------------------------------------

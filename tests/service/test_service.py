@@ -36,6 +36,7 @@ import pytest
 
 from repro.runtime import codec
 from repro.runtime.events import EVENT_TYPES, LockAcquire
+from repro.runtime.trace import load_trace
 from repro.service import (
     AnalysisClient,
     AnalysisServer,
@@ -134,6 +135,39 @@ class TestRoundTrip:
             "repro_service_queue_high_water",
             "repro_service_backpressure_stalls_total",
         } <= names
+
+    def test_finished_sessions_leave_no_series(self, unix_server, traces):
+        """A released session's series fold into each family's
+        unlabelled sample: the STAT body stops growing with the
+        sessions ever served, and every sum over samples still counts
+        what was streamed."""
+        path, reference = traces[("T1", "hwlc+dr")]
+        events = sum(1 for _ in load_trace(path))
+
+        def samples():
+            # The REPORT frame goes out just before the release.
+            deadline = time.monotonic() + 10.0
+            while unix_server.sessions_payload() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert unix_server.sessions_payload() == []
+            snapshot = unix_server.stats_payload()
+            return sum(len(f["samples"]) for f in snapshot["metrics"].values())
+
+        assert fetch_report(path, socket_path=unix_server.address) == reference
+        after_one = samples()
+        sessions = 6
+        for _ in range(sessions - 1):
+            assert fetch_report(path, socket_path=unix_server.address) == reference
+        assert samples() == after_one
+        assert sum(
+            _sample_values(unix_server, "repro_service_bytes_ingested_total")
+        ) == sessions * path.stat().st_size
+        assert sum(
+            _sample_values(unix_server, "repro_service_events_total")
+        ) == sessions * events
+        assert _sample_values(unix_server, "repro_service_queue_depth") == []
+        for sample in _family(unix_server, "repro_service_events_total")["samples"]:
+            assert "session" not in sample["labels"]
 
 
 class TestErrors:

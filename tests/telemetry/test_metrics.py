@@ -174,6 +174,33 @@ class TestRegistry:
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
+    def test_remove_drops_only_that_child(self):
+        reg = MetricsRegistry()
+        reg.counter("x_total", {"k": "a"}).inc(2)
+        reg.counter("x_total", {"k": "b"}).inc(3)
+        assert reg.remove("x_total", {"k": "a"}).value == 2
+        assert reg.remove("x_total", {"k": "a"}) is None
+        assert reg.remove("missing_total", {"k": "a"}) is None
+        samples = reg.snapshot()["metrics"]["x_total"]["samples"]
+        assert [s["labels"] for s in samples] == [{"k": "b"}]
+
+    def test_fold_keeps_each_family_total(self):
+        reg = MetricsRegistry()
+        for sid, n in (("s1", 4), ("s2", 6)):
+            reg.counter("e_total", {"session": sid}).inc(n)
+            reg.gauge("high", {"session": sid}).set(n)
+            reg.histogram("h", {"session": sid}, buckets=(5.0,)).observe(n)
+        for sid in ("s1", "s2"):
+            for name in ("e_total", "high", "h"):
+                reg.fold(name, {"session": sid})
+        metrics = reg.snapshot()["metrics"]
+        (events,) = metrics["e_total"]["samples"]
+        (high,) = metrics["high"]["samples"]
+        (hist,) = metrics["h"]["samples"]
+        assert events == {"labels": {}, "value": 10}
+        assert high["labels"] == {} and high["value"] == 6
+        assert hist["counts"] == [1, 1] and hist["sum"] == 10
+
 
 class TestMergeSnapshot:
     def _worker(self, n):

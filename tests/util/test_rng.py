@@ -2,10 +2,72 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+from itertools import cycle
 
-from repro._util.rng import SplitMix64
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro._util.rng import _LANES, SplitMix64
+from repro.runtime.scheduler import RandomScheduler, StickyScheduler
+from repro.runtime.thread import SimThread
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _scalar_mix(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+class ScalarSplitMix64:
+    """The reference: SplitMix64 one output at a time, the state
+    advanced and mixed per draw, as the generator computed it before
+    it made its outputs in blocks.  Same methods, same results."""
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed & _MASK64
+        self.draws = 0
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GOLDEN) & _MASK64
+        self.draws += 1
+        return _scalar_mix(self.state)
+
+    def randrange(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError(f"randrange needs n > 0, got {n}")
+        limit = _MASK64 - (_MASK64 % n)
+        while True:
+            value = self.next_u64()
+            if value < limit:
+                return value % n
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def choice(self, seq):
+        if not len(seq):
+            raise IndexError("choice from empty sequence")
+        return seq[self.randrange(len(seq))]
+
+    def shuffle(self, seq: list) -> None:
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
+
+    def split(self) -> "ScalarSplitMix64":
+        return ScalarSplitMix64(self.next_u64())
+
+    def fork(self, label: str) -> "ScalarSplitMix64":
+        h = self.state
+        for ch in label:
+            h = (h * 1099511628211 ^ ord(ch)) & _MASK64
+        return ScalarSplitMix64(_scalar_mix(h))
+
+    def __repr__(self) -> str:
+        return f"SplitMix64(state={self.state:#x})"
 
 
 class TestDeterminism:
@@ -20,12 +82,17 @@ class TestDeterminism:
         assert [a.next_u64() for _ in range(10)] != [b.next_u64() for _ in range(10)]
 
     def test_known_reference_value(self):
-        # SplitMix64 with seed 0: first output is mix(golden-ratio increment);
-        # pinned so cross-version drift is caught immediately.
-        rng = SplitMix64(0)
-        first = rng.next_u64()
-        assert first == SplitMix64(0).next_u64()
-        assert 0 <= first < (1 << 64)
+        # The published SplitMix64 outputs (the reference C code's test
+        # vectors), pinned so any drift of the stream is caught.
+        assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+        rng = SplitMix64(1234567)
+        assert [rng.next_u64() for _ in range(5)] == [
+            6457827717110365317,
+            3203168211198807973,
+            9817491932198370423,
+            4593380528125082431,
+            16408922859458223821,
+        ]
 
 
 class TestDistributionContracts:
@@ -122,18 +189,6 @@ class _Indices:
         return i
 
 
-def _reference_draw(rng: SplitMix64, n: int) -> int:
-    """A draw from ``[0, n)`` through ``next_u64`` with rejection
-    sampling, as ``randrange`` draws, and as ``choice`` drew before it
-    advanced the state itself."""
-    mask = (1 << 64) - 1
-    limit = mask - (mask % n)
-    while True:
-        value = rng.next_u64()
-        if value < limit:
-            return value % n
-
-
 #: ``n = 1``; small ``n``; ``n`` in ``(2**62, 2**63)``, where up to a
 #: third of the draws are rejected; and ``n`` near ``2**63``.
 _SIZES = st.one_of(
@@ -146,11 +201,95 @@ _SIZES = st.one_of(
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1), _SIZES)
 def test_randrange_and_choice_draw_the_reference_sequence(seed, n):
-    fast, ref = SplitMix64(seed), SplitMix64(seed)
+    fast, ref = SplitMix64(seed), ScalarSplitMix64(seed)
     seq = _Indices(n) if n < (1 << 63) else None
     for _ in range(8):
-        assert fast.randrange(n) == _reference_draw(ref, n)
+        assert fast.randrange(n) == ref.randrange(n)
         if seq is not None:
-            assert fast.choice(seq) == _reference_draw(ref, n)
+            assert fast.choice(seq) == ref.randrange(n)
     # Rejected draws advance the state too.
     assert fast.next_u64() == ref.next_u64()
+
+
+_SEEDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+#: ``(operation, argument)``; each draws as its scalar twin must.
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("next_u64"), st.none()),
+    st.tuples(st.sampled_from(["choice", "randrange"]), _SIZES),
+    st.tuples(st.just("random"), st.none()),
+    st.tuples(st.just("shuffle"), st.integers(0, 24)),
+    st.tuples(st.just("split"), st.none()),
+    st.tuples(st.just("fork"), st.text(max_size=6)),
+)
+
+
+def _apply(rng, operation: str, arg):
+    """What ``operation`` returns on ``rng``, in a form two generators'
+    results compare by: children by their repr and first outputs."""
+    if operation == "choice":
+        return rng.choice(_Indices(arg)) if arg < (1 << 63) else rng.randrange(arg)
+    if operation == "randrange":
+        return rng.randrange(arg)
+    if operation == "shuffle":
+        items = list(range(arg))
+        rng.shuffle(items)
+        return items
+    if operation in ("split", "fork"):
+        child = rng.split() if operation == "split" else rng.fork(arg)
+        return repr(child), child.next_u64(), child.next_u64()
+    return getattr(rng, operation)()
+
+
+@settings(deadline=None)
+@given(
+    _SEEDS,
+    st.lists(st.tuples(_OPERATIONS, st.integers(1, 64)), min_size=1, max_size=8),
+)
+def test_block_stream_is_the_scalar_stream(seed, program):
+    """Any interleaving of every method, running over more than two
+    blocks, gives what the scalar reference gives, and ``repr`` (the
+    state ``fork`` hashes) agrees at every step."""
+    fast, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+    # The trailing draws make every pass over the program advance.
+    program = [*program, (("next_u64", None), 16)]
+    steps = cycle(program)
+    while ref.draws <= 2 * _LANES:
+        (operation, arg), repeat = next(steps)
+        # A child makes a whole block at its first draw: one per entry.
+        for _ in range(1 if operation in ("split", "fork") else repeat):
+            assert _apply(fast, operation, arg) == _apply(ref, operation, arg)
+            assert repr(fast) == repr(ref)
+
+
+def _threads(n):
+    return tuple(
+        SimThread(tid=i, name=f"t{i}", target=None, args=(), parent_tid=None)
+        for i in range(n)
+    )
+
+
+@settings(deadline=None)
+@given(
+    _SEEDS,
+    st.lists(st.integers(1, 12), min_size=1, max_size=20),
+    st.floats(0.0, 1.0),
+)
+def test_scheduler_decisions_match_the_scalar_reference(seed, sizes, switch_prob):
+    """The schedulers' decision logs over a sequence of runnable-set
+    sizes, each drawn through the block generator, equal the logs the
+    same schedulers draw through the scalar reference."""
+    threads = _threads(12)
+    for make in (
+        lambda: RandomScheduler(seed),
+        lambda: StickyScheduler(seed, switch_prob),
+    ):
+        fast, ref = make(), make()
+        ref._rng = ScalarSplitMix64(seed)
+        # ``current`` is the last pick, runnable or not.
+        fast_current = ref_current = None
+        for _, size in zip(range(2 * _LANES + 40), cycle(sizes)):
+            runnable = threads[:size]
+            fast_current = fast.pick(runnable, fast_current)
+            ref_current = ref.pick(runnable, ref_current)
+        assert fast.record() == ref.record()
