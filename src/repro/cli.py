@@ -1113,9 +1113,8 @@ def _print_snapshot_metrics(snapshot: dict) -> None:
 def _cmd_client_stat(args) -> int:
     """Print the service's metrics snapshot (``repro_service_*`` et al).
 
-    ``--per-worker`` asks a sharded service for every worker process's
-    unmerged snapshot and prints each next to the merged whole (an
-    in-process ``AnalysisServer`` shows its one ``w0`` section)."""
+    ``--per-worker`` asks the service for every worker process's
+    unmerged snapshot and prints each next to the merged whole."""
     import json
 
     from repro.service import AnalysisClient

@@ -4,7 +4,8 @@ detection over a socket.
 The paper runs its checker as a batch job over one recorded execution;
 the service turns the same pipeline into the always-on monitor shape of
 production race detectors: ``repro serve`` listens on a unix socket or
-TCP port, any number of clients open *analysis sessions* and stream
+TCP port (one acceptor, the only listener, in front of N worker
+processes), any number of clients open *analysis sessions* and stream
 RPTR v1 event blocks (live from a running harness case, or from a
 recorded ``.rptr`` file), and each session feeds an isolated detector
 pipeline whose report — byte-identical to the offline ``repro trace
@@ -17,10 +18,12 @@ Modules
 :mod:`~repro.service.session`
     Per-client sessions: bounded ingest queue + `repro.api.Session`.
 :mod:`~repro.service.server`
-    Accept/reader/worker/housekeeping threads, graceful drain.
+    A worker process's share: reader/analysis/housekeeping threads
+    over the connections the acceptor hands it, graceful drain.
 :mod:`~repro.service.shard`
-    Multi-process mode: acceptor + N shared-nothing worker processes,
-    consistent-hash session routing, supervisor restarts, merged stats.
+    The acceptor (the only listener and HELLO reader) + N
+    shared-nothing worker processes, consistent-hash session routing,
+    supervisor restarts, merged stats.
 :mod:`~repro.service.checkpoint`
     Atomic session checkpoints for kill-and-resume (and, sharded, the
     failover unit a restarted worker restores sessions from).

@@ -27,14 +27,13 @@ protocol:
     ingested, queue depth, outstanding credits, events since the last
     checkpoint, trace id, owning worker.
 ``GET /workers``
-    Per-worker-process view: slot, pid, listen port, liveness,
-    restart count.
+    Per-worker-process view: slot, pid, liveness, restart count,
+    analysis threads.
 
-The ``ops`` object is any server exposing the small introspection
-surface both :class:`~repro.service.server.AnalysisServer` and
-:class:`~repro.service.shard.ShardedAnalysisServer` implement:
-``stats_payload()``, ``sessions_payload()``, ``workers_payload()``
-and the ``draining`` property.  The admin listener runs request
+The ``ops`` object is the acceptor
+(:class:`~repro.service.shard.ShardedAnalysisServer`); the plane reads
+its ``stats_payload()``, ``sessions_payload()``, ``workers_payload()``
+and ``draining``.  The admin listener runs request
 handling on daemon threads (``ThreadingHTTPServer``) so a slow scrape
 never blocks the analysis plane, and binds loopback by default — it
 is an *operations* surface, not a public one.
@@ -66,7 +65,7 @@ ROUTES = {
 
 
 class AdminServer:
-    """HTTP admin listener wrapping a running analysis server."""
+    """HTTP admin listener wrapping a running acceptor."""
 
     def __init__(
         self,
@@ -163,7 +162,7 @@ class AdminServer:
             }
             return 200, "application/json", json.dumps(body) + "\n"
         if path == "/readyz":
-            if getattr(self.ops, "draining", False):
+            if self.ops.draining:
                 return (
                     503,
                     "application/json",

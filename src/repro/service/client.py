@@ -163,13 +163,15 @@ class AnalysisClient:
         return self._await(protocol.REPORT)
 
     def stats(self, *, per_worker: bool = False) -> dict:
-        """Fetch the server's metrics snapshot (no session needed).
+        """Fetch the service's merged metrics snapshot.
 
-        ``per_worker=True`` asks for the sharded view instead:
+        Send it before any :meth:`hello`: the acceptor answers STAT
+        only on a connection that has not opened a session, and a
+        STAT after HELLO is an ERROR that closes the connection.
+        ``per_worker=True`` asks for
         ``{"merged": snapshot, "workers": {"w0": snapshot, ...}}`` —
         one unmerged snapshot per worker process next to the merged
-        whole (an in-process ``AnalysisServer`` answers with its lone
-        ``w0``).
+        whole.
         """
         if per_worker:
             protocol.send_json(self._sock, protocol.STAT, {"per_worker": True})

@@ -20,10 +20,13 @@ Conversation shape (client-initiated, one session per connection)::
     C: FINISH  {}
     S: REPORT  <report JSON, byte-identical to `repro report` offline>
 
-``STAT``/``STATS`` is a standalone request/response pair (no HELLO
-needed) returning the server's metrics snapshot — the
-``repro_service_*`` catalogue of ``docs/OBSERVABILITY.md``.  ``ERROR``
-may replace any server response; the connection closes after it.
+``STAT``/``STATS`` is a standalone request/response pair, sent before
+any HELLO, returning the service's metrics snapshot — the
+``repro_service_*`` catalogue of ``docs/OBSERVABILITY.md``, merged
+over every worker process.  Once HELLO has opened a session, only DATA
+and FINISH may follow: a STAT then is answered ``ERROR {"error":
+"unexpected STAT frame"}``.  ``ERROR`` may replace any server
+response; the connection closes after it.
 
 HELLO is free-form JSON, so optional keys ride it without a protocol
 rev.  Besides ``"config"`` and ``"session"``, the one key is
@@ -72,10 +75,11 @@ HEADER = struct.Struct("!BI")
 #: prefix must not make the server allocate gigabytes.
 MAX_FRAME = 16 * 1024 * 1024
 
-#: Bound, in seconds, on each read of a connection that has not sent
-#: HELLO yet (standalone STAT requests included).  A connection silent
-#: that long gets an ERROR naming the bound and is closed, so it cannot
-#: hold a server thread forever; an open session is the idle reaper's.
+#: Bound, in seconds, on each read the acceptor makes of a connection
+#: that has not sent HELLO yet (standalone STAT requests included).  A
+#: connection silent that long gets an ERROR naming the bound and is
+#: closed, so it cannot hold a handshake thread forever; an open
+#: session is the idle reaper's.
 HELLO_TIMEOUT_S = 30.0
 
 # Client → server.

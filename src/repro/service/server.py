@@ -1,11 +1,13 @@
-"""The streaming analysis server (``repro serve``).
+"""The worker half of the streaming analysis server (``repro serve``).
 
 Architecture — the paper's offline checker turned into a long-lived,
-multi-tenant service:
+multi-tenant service.  One :class:`AnalysisServer` runs in each worker
+process of :mod:`repro.service.shard`; it listens on nothing.  The
+acceptor reads each connection's HELLO, picks a fresh session's id and
+hands the connection over (:meth:`AnalysisServer.adopt_connection`):
 
-* an **accept thread** takes connections on a unix socket, or the
-  sharded acceptor hands them over (:meth:`AnalysisServer.adopt_connection`);
-* a **reader thread per connection** parses frames and pushes DATA
+* a **reader thread per connection** opens the session from the
+  handed HELLO, then parses DATA and FINISH frames and pushes DATA
   chunks into that session's bounded queue (credit-based backpressure
   keeps the bound honest — see :mod:`repro.service.protocol`);
 * a **bounded worker pool** (``workers`` threads) drains session
@@ -25,13 +27,12 @@ multi-tenant service:
 
 Telemetry: every ingest and scheduling edge increments
 ``repro_service_*`` metrics in a standard
-:class:`~repro.telemetry.MetricsRegistry`, so ``repro client stat``
-renders the service exactly like ``repro stats`` renders a run.
+:class:`~repro.telemetry.MetricsRegistry`; the acceptor merges one
+snapshot per worker into what ``repro client stat`` renders.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import socket
 import threading
@@ -52,21 +53,19 @@ DEFAULT_QUEUE_BLOCKS = 8
 
 
 class AnalysisServer:
-    """Multi-session streaming analysis service.
+    """Multi-session streaming analysis, one worker process's share.
 
-    With ``socket_path`` the server listens on that unix domain socket.
-    Without it no endpoint is bound at all: the server only ingests
-    connections handed to it via :meth:`adopt_connection` — the shape a
-    shard worker process runs in when the acceptor passes accepted
-    sockets, unix or TCP, over SCM_RIGHTS (:mod:`repro.service.shard`).
-    ``start()`` spawns the threads and returns; ``serve_forever()``
-    blocks until :meth:`shutdown`.
+    No endpoint is bound: the server ingests only the connections
+    handed to it via :meth:`adopt_connection`, as a shard worker does
+    when the acceptor passes accepted sockets, unix or TCP, over
+    SCM_RIGHTS (:mod:`repro.service.shard`).  ``start()`` spawns the
+    threads and returns; the worker's control loop calls
+    :meth:`shutdown`.
     """
 
     def __init__(
         self,
         *,
-        socket_path: str | None = None,
         workers: int = 2,
         queue_blocks: int = DEFAULT_QUEUE_BLOCKS,
         idle_timeout: float | None = None,
@@ -84,7 +83,6 @@ class AnalysisServer:
             raise ValueError("need at least one worker")
         if queue_blocks < 1:
             raise ValueError("queue bound must be >= 1")
-        self.socket_path = socket_path
         self.workers = workers
         self.queue_blocks = queue_blocks
         self.idle_timeout = idle_timeout
@@ -101,8 +99,7 @@ class AnalysisServer:
         #: soak/backpressure testing (simulates a slow detector).
         self.throttle = throttle
         #: Stable identity of this process in multi-process views
-        #: (``/sessions``, per-worker STATS) — ``w<slot>`` in a shard
-        #: worker, ``w0`` standalone.
+        #: (``/sessions``, per-worker STATS): ``w<slot>``.
         self.worker_id = worker_id
         #: Structured logger for lifecycle edges; :data:`NULL_LOGGER`
         #: (every call one attribute test) unless the operator asked
@@ -119,28 +116,17 @@ class AnalysisServer:
         self.tracer = tracer
         self.trace_out = trace_out
 
-        self._listener: socket.socket | None = None
-        if socket_path is not None:
-            if os.path.exists(socket_path):
-                os.unlink(socket_path)
-            self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._listener.bind(socket_path)
-            self._listener.listen(64)
-
         self._sessions: dict[str, ServiceSession] = {}
         self._sessions_lock = threading.Lock()
-        #: Ids mid-resume: reserved under ``_sessions_lock`` before the
-        #: checkpoint load, so two concurrent HELLO{session: X} frames
-        #: cannot both restore X (the loser fails "already active").
-        self._resuming: set[str] = set()
-        self._next_session = 0
-        if self.checkpoints is not None:
-            self._next_session = self.checkpoints.max_session_seq()
+        #: Ids mid-open: reserved under ``_sessions_lock`` before the
+        #: session is built (a resume loads its checkpoint first), so
+        #: two concurrent HELLO{session: X} frames cannot both restore X
+        #: (the loser fails "already active").
+        self._opening: set[str] = set()
         self._runq: queue.SimpleQueue = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
         self._stopping = threading.Event()
-        self._drained = threading.Event()
         self._started = False
 
         self._m_sessions = self.registry.counter(
@@ -171,26 +157,14 @@ class AnalysisServer:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def address(self) -> str | None:
-        """The socket path listened on; ``None`` for a server that only
-        adopts handed-over connections."""
-        return self.socket_path
-
     def start(self) -> None:
-        """Spawn accept/worker/housekeeping threads and return."""
+        """Spawn worker/housekeeping threads and return."""
         if self._started:
             return
         self._started = True
         for i in range(self.workers):
             t = threading.Thread(
                 target=self._worker_loop, name=f"repro-worker-{i}", daemon=True
-            )
-            t.start()
-            self._threads.append(t)
-        if self._listener is not None:
-            t = threading.Thread(
-                target=self._accept_loop, name="repro-accept", daemon=True
             )
             t.start()
             self._threads.append(t)
@@ -201,39 +175,18 @@ class AnalysisServer:
             t.start()
             self._threads.append(t)
 
-    def serve_forever(self) -> None:
-        """``start()`` then block until :meth:`shutdown` completes."""
-        self.start()
-        self._drained.wait()
-
     def shutdown(self, *, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop the service.
 
-        ``drain=True`` (graceful): stop accepting, let workers analyse
-        everything already queued, checkpoint unfinished sessions, then
-        stop.  ``drain=False`` (kill): drop everything on the floor —
-        only periodic checkpoints survive, which is exactly the crash
-        the checkpoint tier exists for.
+        ``drain=True`` (graceful): let workers analyse everything
+        already queued, checkpoint unfinished sessions, then stop.
+        ``drain=False`` (kill): drop everything on the floor — only
+        periodic checkpoints survive.
         """
         if self._stopping.is_set():
             return
         self._stopping.set()
         self.log.info("drain_begin" if drain else "stop", drain=drain)
-        # Release the endpoint *before* draining: draining can take
-        # seconds, and a replacement server started on the same unix
-        # path must be able to bind immediately — and must
-        # never have its freshly-bound socket unlinked by our own
-        # post-drain cleanup (the restart race this ordering fixes).
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self.socket_path is not None:
-            try:
-                os.unlink(self.socket_path)
-            except OSError:
-                pass
         if drain:
             with self._sessions_lock:
                 active = list(self._sessions.values())
@@ -263,7 +216,6 @@ class AnalysisServer:
             except OSError:
                 pass  # trace loss must not fail the shutdown
         self.log.info("drain_end" if drain else "stopped")
-        self._drained.set()
 
     # ------------------------------------------------------------------
     # Scheduling (the worker pool)
@@ -306,27 +258,6 @@ class AnalysisServer:
             # through the queue so other sessions get their turn.
             self._runq.put(session)
 
-    def stats_payload(self, *, per_worker: bool = False) -> dict:
-        """The STATS response body.
-
-        Plain requests get the registry snapshot.  ``per_worker``
-        requests get ``{"merged", "workers"}`` — in this single-process
-        server the one "worker" (``w0``) *is* the process, so both
-        views coincide; the sharded acceptor answers the same shape
-        with one entry per worker process (see
-        :mod:`repro.service.shard`).
-        """
-        with self.registry_lock:
-            snapshot = self.registry.snapshot()
-        if per_worker:
-            return {"merged": snapshot, "workers": {self.worker_id: snapshot}}
-        return snapshot
-
-    @property
-    def draining(self) -> bool:
-        """True once shutdown has begun (the ``/readyz`` signal)."""
-        return self._stopping.is_set()
-
     def sessions_payload(self) -> list[dict]:
         """Introspection of live sessions (the admin ``/sessions`` body).
 
@@ -340,20 +271,6 @@ class AnalysisServer:
             (s.introspect(self.worker_id) for s in sessions),
             key=lambda d: d["session"],
         )
-
-    def workers_payload(self) -> list[dict]:
-        """Worker-process introspection — the single-process server *is*
-        its one worker; the sharded acceptor overrides this with one
-        entry per subprocess."""
-        return [
-            {
-                "worker": self.worker_id,
-                "pid": os.getpid(),
-                "alive": True,
-                "restarts": 0,
-                "threads": self.workers,
-            }
-        ]
 
     def release(self, session: ServiceSession, *, drop_checkpoint: bool) -> None:
         """Remove a finished/detached session (idempotent)."""
@@ -372,25 +289,12 @@ class AnalysisServer:
     # Connections
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed by shutdown
-            self._conns.add(conn)
-            t = threading.Thread(
-                target=self._client_loop, args=(conn,),
-                name="repro-reader", daemon=True,
-            )
-            t.start()
-
     def adopt_connection(
         self, conn: socket.socket, hello: dict, leftover: bytes = b"",
         assigned: str | None = None,
     ) -> None:
-        """Ingest a connection accepted elsewhere (the sharded
-        acceptor): spawn its reader thread as if we had accepted it.
+        """Ingest a connection the acceptor accepted and routed here:
+        spawn its reader thread.
 
         ``hello`` is the HELLO body the acceptor consumed to route the
         connection; ``leftover`` is whatever the acceptor's frame reader
@@ -409,78 +313,45 @@ class AnalysisServer:
         t.start()
 
     def _client_loop(
-        self, conn: socket.socket, first_hello: dict | None = None,
-        initial: bytes = b"", assigned: str | None = None,
+        self, conn: socket.socket, hello: dict, initial: bytes,
+        assigned: str | None,
     ) -> None:
-        """One connection: HELLO → session ingest, or standalone STAT."""
+        """One handed-over connection: open its session from the HELLO,
+        then ingest DATA frames until FINISH."""
         session: ServiceSession | None = None
         reader = protocol.FrameReader(conn, initial)
         try:
-            if first_hello is not None:
-                session = self._open_session(conn, first_hello, assigned)
-                with session.send_lock:
-                    protocol.send_json(
-                        conn, protocol.WELCOME, session.welcome_payload()
-                    )
-            else:
-                conn.settimeout(protocol.HELLO_TIMEOUT_S)
-            while True:
-                frame = reader.read()
-                if frame is None:
-                    break
+            session = self._open_session(conn, hello, assigned)
+            with session.send_lock:
+                protocol.send_json(
+                    conn, protocol.WELCOME, session.welcome_payload()
+                )
+            while (frame := reader.read()) is not None:
                 ftype, payload = frame
                 if self.flight is not None:
                     self.flight.frame(
                         "recv", protocol.frame_name(ftype), len(payload),
-                        session=session.session_id if session else None,
+                        session=session.session_id,
                     )
-                if ftype == protocol.STAT:
-                    snapshot = self.stats_payload(
-                        per_worker=bool(
-                            protocol.decode_json(payload).get("per_worker")
-                        )
-                    )
-                    with session.send_lock if session else threading.Lock():
-                        protocol.send_json(conn, protocol.STATS, snapshot)
-                elif ftype == protocol.HELLO:
-                    if session is not None:
-                        raise protocol.ProtocolError("duplicate HELLO")
-                    conn.settimeout(None)  # the idle reaper watches a session
-                    session = self._open_session(conn, protocol.decode_json(payload))
-                    with session.send_lock:
-                        protocol.send_json(
-                            conn, protocol.WELCOME, session.welcome_payload()
-                        )
-                elif ftype == protocol.DATA:
-                    if session is None:
-                        raise protocol.ProtocolError("DATA before HELLO")
+                if ftype == protocol.DATA:
                     session.enqueue(payload)
                 elif ftype == protocol.FINISH:
-                    if session is None:
-                        raise protocol.ProtocolError("FINISH before HELLO")
                     session.request_finish()
                 else:
                     raise protocol.ProtocolError(
                         f"unexpected {protocol.frame_name(ftype)} frame"
                     )
-        except protocol.ProtocolError as exc:
+        except (protocol.ProtocolError, ValueError, KeyError) as exc:
+            error = (
+                str(exc) if isinstance(exc, protocol.ProtocolError)
+                else f"{type(exc).__name__}: {exc}"
+            )
             self.log.warning(
                 "protocol_error",
                 session=session.session_id if session else None,
-                error=str(exc),
+                error=error,
             )
-            self._send_error(conn, session, str(exc))
-        except (ValueError, KeyError) as exc:
-            self.log.warning(
-                "protocol_error",
-                session=session.session_id if session else None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._send_error(conn, session, f"{type(exc).__name__}: {exc}")
-        except TimeoutError:
-            message = f"no HELLO within {protocol.HELLO_TIMEOUT_S:g} s"
-            self.log.warning("protocol_error", session=None, error=message)
-            self._send_error(conn, session, message)
+            self._send_error(conn, session, error)
         except OSError:
             pass  # peer vanished; detach below persists progress
         finally:
@@ -506,26 +377,35 @@ class AnalysisServer:
             pass
 
     def _open_session(
-        self, conn, hello: dict, assigned: str | None = None
+        self, conn, hello: dict, assigned: str | None
     ) -> ServiceSession:
-        """Build a fresh session, or resume one from its checkpoint.
-
-        A fresh session gets ``assigned`` as its id when the acceptor
-        chose one, and the next id of this server's own otherwise;
-        nothing in the HELLO itself picks it."""
+        """Build a fresh session under the acceptor's ``assigned`` id,
+        or resume the HELLO's ``session`` from its checkpoint."""
         trace = protocol.hello_id(hello, "trace")
         resume_id = protocol.hello_id(hello, "session")
         if resume_id is not None:
-            session = self._resume_session(conn, resume_id, trace=trace)
+            if self.checkpoints is None:
+                raise protocol.ProtocolError(
+                    "cannot resume: server has no checkpoint directory"
+                )
+            session = self._admit(
+                resume_id, lambda: self._restore(conn, resume_id, trace)
+            )
+            self._m_resumed.inc()
             self.log.info(
                 "session_resume", session=session.session_id,
                 config=session.config, offset=session.api.bytes_fed,
                 events=session.api.events_seen, trace=session.trace_id,
             )
         else:
-            session = self._fresh_session(
-                conn, hello, session_id=assigned, trace=trace
-            )
+            if assigned is None:
+                raise protocol.ProtocolError("fresh session without an id")
+            config = hello.get("config", "hwlc+dr")
+            profile(config)  # validate before allocating anything
+            session = self._admit(assigned, lambda: ServiceSession(
+                assigned, config, self, conn,
+                queue_blocks=self.queue_blocks, trace_id=trace,
+            ))
             self.log.info(
                 "session_open", session=session.session_id,
                 config=session.config, trace=session.trace_id,
@@ -533,80 +413,35 @@ class AnalysisServer:
         self._m_sessions.inc()
         return session
 
-    def _resume_session(
-        self, conn, resume_id: str, *, trace: str | None = None
-    ) -> ServiceSession:
-        if self.checkpoints is None:
+    def _restore(self, conn, session_id: str, trace: str | None) -> ServiceSession:
+        ckpt = self.checkpoints.load(session_id)
+        if ckpt is None:
             raise protocol.ProtocolError(
-                "cannot resume: server has no checkpoint directory"
+                f"no checkpoint for session {session_id!r}"
             )
+        return ServiceSession(
+            session_id, ckpt.config, self, conn,
+            queue_blocks=self.queue_blocks,
+            api_session=Session.restore(ckpt.snapshot), trace_id=trace,
+        )
+
+    def _admit(self, session_id: str, build) -> ServiceSession:
+        """Insert the session ``build()`` makes under ``session_id``,
+        unless that id is already open or being opened."""
         with self._sessions_lock:
-            if resume_id in self._sessions or resume_id in self._resuming:
+            if session_id in self._sessions or session_id in self._opening:
                 raise protocol.ProtocolError(
-                    f"session {resume_id!r} is already active"
+                    f"session {session_id!r} is already active"
                 )
-            self._resuming.add(resume_id)
+            self._opening.add(session_id)
         session = None
         try:
-            ckpt = self.checkpoints.load(resume_id)
-            if ckpt is None:
-                raise protocol.ProtocolError(
-                    f"no checkpoint for session {resume_id!r}"
-                )
-            api_session = Session.restore(ckpt.snapshot)
-            session = ServiceSession(
-                resume_id, ckpt.config, self, conn,
-                queue_blocks=self.queue_blocks, api_session=api_session,
-                trace_id=trace,
-            )
+            session = build()
         finally:
             # Hand the reservation over to the _sessions insert in one
             # lock acquisition — no window where the id is unguarded.
             with self._sessions_lock:
-                self._resuming.discard(resume_id)
-                if session is not None:
-                    self._sessions[resume_id] = session
-                    self._m_active.set(len(self._sessions))
-        self._m_resumed.inc()
-        return session
-
-    def _fresh_session(
-        self, conn, hello: dict, *, session_id: str | None,
-        trace: str | None,
-    ) -> ServiceSession:
-        config = hello.get("config", "hwlc+dr")
-        profile(config)  # validate before allocating anything
-        with self._sessions_lock:
-            if session_id is not None:
-                # The sharded acceptor owns the id space and routed
-                # this connection here by hashing the id it chose; we
-                # only guard against an active duplicate.
-                if (
-                    session_id in self._sessions
-                    or session_id in self._resuming
-                ):
-                    raise protocol.ProtocolError(
-                        f"session {session_id!r} is already active"
-                    )
-            else:
-                while True:
-                    self._next_session += 1
-                    session_id = f"s{self._next_session:04d}"
-                    if (
-                        session_id not in self._sessions
-                        and session_id not in self._resuming
-                    ):
-                        break
-            self._resuming.add(session_id)  # reserve until inserted
-        session = None
-        try:
-            session = ServiceSession(
-                session_id, config, self, conn,
-                queue_blocks=self.queue_blocks, trace_id=trace,
-            )
-        finally:
-            with self._sessions_lock:
-                self._resuming.discard(session_id)
+                self._opening.discard(session_id)
                 if session is not None:
                     self._sessions[session_id] = session
                     self._m_active.set(len(self._sessions))

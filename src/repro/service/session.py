@@ -72,8 +72,8 @@ class ServiceSession:
         #: Session-scoped trace correlation id: the client's HELLO
         #: ``trace``, or else one minted by the sharded acceptor and
         #: forwarded with the HELLO over the SCM_RIGHTS handover, so
-        #: the same id reaches the owning worker; a server reached
-        #: directly mints its own.  It labels trace spans and log
+        #: the same id reaches the owning worker; a session adopted
+        #: without one mints its own.  It labels trace spans and log
         #: records on both sides, which is what lets ``repro trace
         #: merge`` correlate them.
         self.trace_id = (

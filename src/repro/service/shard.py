@@ -1,18 +1,18 @@
 """Sharded analysis service: one acceptor, N shared-nothing workers.
 
-The single-process :class:`~repro.service.server.AnalysisServer` runs
-every session's detector pipeline on a thread pool inside one
-GIL-bound interpreter, so aggregate ingest tops out near a single core
-no matter how many clients connect.  Per-session lock-set analysis is
+One interpreter's thread pool tops out near a single core no matter
+how many clients connect, and per-session lock-set analysis is
 shared-nothing, which makes session-level sharding the natural scaling
-unit: this module promotes the service to a multi-process architecture.
+unit: ``repro serve`` always runs as one acceptor and N worker
+processes, and this module is the only way in.
 
 * A lightweight **acceptor** process owns the one listening socket,
-  unix or TCP.  It reads exactly one frame per connection — the HELLO
-  — and routes the session to one of N **worker processes** by
-  consistent hashing on the session id (:class:`HashRing`), so a given
-  session always lands on the same worker, across reconnects *and*
-  across worker restarts.
+  unix or TCP.  It is the only code that reads a HELLO: it bounds a
+  silent connection by ``protocol.HELLO_TIMEOUT_S``, picks a fresh
+  session's id, and routes the session to one of N **worker
+  processes** by consistent hashing on the session id
+  (:class:`HashRing`), so a given session always lands on the same
+  worker, across reconnects *and* across worker restarts.
 * The accepted connection itself is handed to the worker over
   SCM_RIGHTS (``socket.send_fds``), together with the parsed HELLO,
   the session id the acceptor assigned and any bytes the acceptor's
@@ -26,11 +26,13 @@ unit: this module promotes the service to a multi-process architecture.
   sessions re-route (same hash slot) to its replacement, which
   restores them from their pickled checkpoints — the PR-5
   cross-process resume path, now exercised automatically.
-* ``STAT`` is answered by the acceptor itself: it collects each
-  worker's ``repro_service_*`` snapshot over the **control pipe** and
-  merges them (:func:`repro.telemetry.merge_snapshots`) into the one
-  view ``repro client stat`` renders; ``--per-worker`` returns the
-  unmerged per-process snapshots alongside.
+* ``STAT``, sent before any HELLO, is answered by the acceptor
+  itself: it collects each worker's ``repro_service_*`` snapshot over
+  the **control pipe** and merges them
+  (:func:`repro.telemetry.merge_snapshots`) into the one view ``repro
+  client stat`` renders; ``--per-worker`` returns the unmerged
+  per-process snapshots alongside.  Once a HELLO is handed over, the
+  worker accepts only DATA and FINISH on that connection.
 
 Each worker is a fresh interpreter (spawned via :mod:`subprocess`
 running :func:`worker_main`, with the control socketpair passed
@@ -226,7 +228,9 @@ class _WorkerHandle:
 
 
 class ShardedAnalysisServer:
-    """The acceptor: listener + router + supervisor + stats merger.
+    """The acceptor: listener + router + supervisor + stats merger, and
+    the only code that reads a HELLO, answers STAT, bounds a silent
+    connection and picks a fresh session's id.
 
     Same constructor vocabulary as
     :class:`~repro.service.server.AnalysisServer`, with ``workers``
@@ -309,7 +313,10 @@ class ShardedAnalysisServer:
         #: Per-slot supervisor restart counts (the ``/workers`` view).
         self._restarts: dict[int, int] = {s: 0 for s in range(workers)}
         self._conns: set[socket.socket] = set()
-        self._threads: list[threading.Thread] = []
+        self._supervisor = threading.Thread(
+            target=self._supervisor_loop, name="repro-shard-supervisor",
+            daemon=True,
+        )
         self._stopping = threading.Event()
         self._drained = threading.Event()
         self._started = False
@@ -345,13 +352,10 @@ class ShardedAnalysisServer:
         for slot in range(self.workers):
             self._slots[slot] = self._spawn_worker(slot)
         self._m_workers.set(self.workers)
-        for target, name in (
-            (self._accept_loop, "repro-shard-accept"),
-            (self._supervisor_loop, "repro-shard-supervisor"),
-        ):
-            t = threading.Thread(target=target, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
+        threading.Thread(
+            target=self._accept_loop, name="repro-shard-accept", daemon=True
+        ).start()
+        self._supervisor.start()
 
     def serve_forever(self) -> None:
         self.start()
@@ -374,6 +378,10 @@ class ShardedAnalysisServer:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
+        # A restart the supervisor has begun lands in its slot before
+        # the slots are read, or its worker would outlive the drain.
+        if self._supervisor.is_alive():
+            self._supervisor.join(timeout)
         with self._slots_lock:
             handles = [h for h in self._slots if h is not None]
         for handle in handles:
@@ -673,14 +681,15 @@ class ShardedAnalysisServer:
     # Stats merge (the control pipe's other job)
     # ------------------------------------------------------------------
 
-    def worker_snapshots(self) -> dict[str, dict]:
-        """Each live worker's metrics snapshot, keyed ``w<slot>``.
+    def _ask_workers(self, request: int, reply: int) -> dict:
+        """Send ``request`` to each live worker and return its JSON
+        ``reply``, keyed ``w<slot>``.
 
         A worker mid-restart simply drops out of this round — its
         counters are process-local and died with it; the sessions
         themselves survive in checkpoints, not in metrics.
         """
-        snapshots: dict[str, dict] = {}
+        replies: dict = {}
         with self._slots_lock:
             handles = [h for h in self._slots if h is not None and not h.dead]
         for handle in handles:
@@ -688,24 +697,23 @@ class ShardedAnalysisServer:
                 with handle.lock:
                     handle.ctrl.settimeout(10.0)
                     try:
-                        _ctrl_send(handle.ctrl, OP_STAT, b"")
+                        _ctrl_send(handle.ctrl, request, b"")
                         frame = handle.channel.read()
                     finally:
                         handle.ctrl.settimeout(None)
             except OSError:
                 self._condemn(handle)
                 continue
-            if frame is None or frame[0] != OP_STATS:
-                continue
-            snapshots[f"w{handle.slot}"] = json.loads(frame[1])
-        return snapshots
+            if frame is not None and frame[0] == reply:
+                replies[f"w{handle.slot}"] = json.loads(frame[1])
+        return replies
 
     def stats_payload(self, *, per_worker: bool = False) -> dict:
         """Merged service metrics; with ``per_worker``, also the raw
         per-process snapshots the merge was built from."""
         with self.registry_lock:
             acceptor = self.registry.snapshot()
-        workers = self.worker_snapshots()
+        workers = self._ask_workers(OP_STAT, OP_STATS)
         merged = merge_snapshots([acceptor, *workers.values()])
         if per_worker:
             return {"merged": merged, "workers": workers}
@@ -720,34 +728,11 @@ class ShardedAnalysisServer:
         """True once shutdown has begun (the ``/readyz`` signal)."""
         return self._stopping.is_set()
 
-    def worker_sessions(self) -> dict[str, list[dict]]:
-        """Each live worker's session introspection, keyed ``w<slot>``
-        (same drop-out semantics as :meth:`worker_snapshots`)."""
-        result: dict[str, list[dict]] = {}
-        with self._slots_lock:
-            handles = [h for h in self._slots if h is not None and not h.dead]
-        for handle in handles:
-            try:
-                with handle.lock:
-                    handle.ctrl.settimeout(10.0)
-                    try:
-                        _ctrl_send(handle.ctrl, OP_SESSIONS, b"")
-                        frame = handle.channel.read()
-                    finally:
-                        handle.ctrl.settimeout(None)
-            except OSError:
-                self._condemn(handle)
-                continue
-            if frame is None or frame[0] != OP_SESSIONS:
-                continue
-            result[f"w{handle.slot}"] = json.loads(frame[1])
-        return result
-
     def sessions_payload(self) -> list[dict]:
         """Every live session across all workers (the ``/sessions``
         body): each entry already names its owning worker."""
         sessions: list[dict] = []
-        for entries in self.worker_sessions().values():
+        for entries in self._ask_workers(OP_SESSIONS, OP_SESSIONS).values():
             sessions.extend(entries)
         return sorted(sessions, key=lambda d: d["session"])
 

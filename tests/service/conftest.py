@@ -1,20 +1,30 @@
 """Shared fixtures for the service test suite.
 
-The ``traces`` fixture is the byte-identity oracle both the in-process
-tests (``test_service.py``) and the sharded tests (``test_shard.py``)
-measure against: every report the service produces must equal the
-offline ``repro trace replay`` report byte-for-byte, whatever process
-the session happened to land on.  ``predictive_traces`` does the same
-for the latent-bug cases T9 and T10 under the ``predictive`` profile.
-``BAD_HELLOS`` and :func:`raw_hello` drive both kinds of server with
-HELLO bodies whose fields have the wrong JSON type, and
-:func:`raw_failing_session` with a session whose analysis fails.
+Every service test talks to the shape ``repro serve`` runs: a
+:class:`~repro.service.ShardedAnalysisServer` acceptor in front of
+worker processes.  ``acceptor`` is one package-wide, one-worker
+acceptor with a checkpoint directory, shared by the tests that need no
+fresh state; a test that needs its own options, a crash or a second
+worker starts its own.  Tests that patch a worker's internals drive a
+listener-less :class:`~repro.service.AnalysisServer` in the test
+process through :func:`adopt`, the call a worker makes for each
+connection the acceptor hands it.
+
+The ``traces`` fixture is the byte-identity oracle: every report the
+service produces must equal the offline ``repro trace replay`` report
+byte-for-byte, whatever process the session happened to land on.
+``predictive_traces`` does the same for the latent-bug cases T9 and
+T10 under the ``predictive`` profile.  ``BAD_HELLOS`` and
+:func:`raw_hello` drive the acceptor with HELLO bodies whose fields
+have the wrong JSON type, and :func:`raw_failing_session` with a
+session whose analysis fails.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -22,7 +32,7 @@ from repro.api import Pipeline
 from repro.api.profiles import profile
 from repro.detectors import HelgrindDetector
 from repro.runtime.trace import replay_trace
-from repro.service import protocol
+from repro.service import ShardedAnalysisServer, protocol
 
 CASES = ("T1", "T2", "T3")
 CONFIGS = ("original", "hwlc", "hwlc+dr")
@@ -39,6 +49,22 @@ BAD_HELLOS = {
     "trace-int": ({"trace": 5}, "HELLO trace must be a string"),
     "trace-object": ({"trace": {"a": 1}}, "HELLO trace must be a string"),
 }
+
+
+def wait_until(cond, timeout: float = 15.0, interval: float = 0.02) -> bool:
+    """Poll ``cond`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if cond():
+            return True
+        time.sleep(interval)
+    return cond()
+
+
+def metric_sum(snapshot: dict, name: str) -> float:
+    """The sum over every sample of family ``name`` (0 if absent)."""
+    family = snapshot.get("metrics", {}).get(name)
+    return sum(s["value"] for s in family["samples"]) if family else 0.0
 
 
 def connect(address: str | tuple[str, int], timeout: float) -> socket.socket:
@@ -73,6 +99,46 @@ def raw_hello(
         return None
     ftype, payload = frame
     return ftype, protocol.decode_json(payload)
+
+
+def adopt(server, hello: dict, assigned: str | None = None) -> socket.socket:
+    """One end of a socketpair whose other end ``server`` (a
+    listener-less ``AnalysisServer``) adopted with ``hello``, as a
+    worker adopts each connection the acceptor hands it."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(10.0)
+    server.adopt_connection(theirs, hello, assigned=assigned)
+    return ours
+
+
+def adopted_report(
+    server, path, hello: dict, assigned: str | None = None,
+    chunk_bytes: int = 4096,
+) -> bytes:
+    """Stream ``path`` from the WELCOME's offset over an adopted
+    connection, spending credits as ``AnalysisClient`` does, FINISH,
+    and return the REPORT bytes."""
+    with adopt(server, hello, assigned) as sock:
+        reader = protocol.FrameReader(sock)
+
+        def expect(wanted: int) -> bytes:
+            ftype, payload = reader.read()
+            assert ftype == wanted, (protocol.frame_name(ftype), payload)
+            return payload
+
+        welcome = protocol.decode_json(expect(protocol.WELCOME))
+        credits = welcome["credits"]
+        data = path.read_bytes()[welcome["offset"]:]
+        for pos in range(0, len(data), chunk_bytes):
+            if not credits:
+                credits = protocol.decode_json(expect(protocol.CREDIT))["credits"]
+            protocol.send_frame(sock, protocol.DATA, data[pos:pos + chunk_bytes])
+            credits -= 1
+        protocol.send_frame(sock, protocol.FINISH)
+        while (frame := reader.read())[0] == protocol.CREDIT:
+            pass
+        assert frame[0] == protocol.REPORT, frame
+        return frame[1]
 
 
 def raw_failing_session(socket_path: str) -> list[tuple[int, dict]]:
@@ -133,3 +199,24 @@ def predictive_traces(tmp_path_factory):
         report = Pipeline("predictive").replay(path).render()
         out[case.case_id] = (path, report.encode("utf-8"))
     return out
+
+
+@pytest.fixture(scope="package")
+def shared_acceptor(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shared-acceptor")
+    server = ShardedAnalysisServer(
+        socket_path=str(root / "repro.sock"), workers=1, threads=2,
+        checkpoint_dir=str(root / "ckpt"),
+    )
+    server.start()
+    yield server
+    server.shutdown(drain=True, timeout=30.0)
+
+
+@pytest.fixture
+def acceptor(shared_acceptor):
+    """The package's one-worker acceptor (checkpoint directory at
+    ``acceptor.checkpoint_dir``), with no session an earlier test left
+    open."""
+    assert wait_until(lambda: not shared_acceptor.sessions_payload())
+    return shared_acceptor

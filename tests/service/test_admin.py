@@ -15,7 +15,6 @@ import io
 import json
 import os
 import signal
-import time
 import urllib.error
 import urllib.request
 
@@ -25,10 +24,18 @@ from repro.service import (
     AnalysisServer,
     ShardedAnalysisServer,
     fetch_report,
+    protocol,
 )
 from repro.service.admin import ROUTES
 from repro.telemetry.logs import StructuredLogger, read_flight_records
 from repro.telemetry.schema import validate_snapshot
+
+from tests.service.conftest import (
+    adopt,
+    adopted_report,
+    metric_sum as _counter,
+    wait_until as _wait_until,
+)
 
 
 def _get(address: tuple[str, int], path: str) -> tuple[int, str]:
@@ -40,25 +47,11 @@ def _get(address: tuple[str, int], path: str) -> tuple[int, str]:
         return err.code, err.read().decode("utf-8")
 
 
-def _wait_until(cond, timeout: float = 15.0, interval: float = 0.05) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if cond():
-            return True
-        time.sleep(interval)
-    return cond()
-
-
-def _counter(snapshot: dict, name: str) -> float:
-    family = snapshot.get("metrics", {}).get(name)
-    return sum(s["value"] for s in family["samples"]) if family else 0.0
-
-
 class TestAdminSingleProcess:
-    def test_probes_and_route_listing(self, tmp_path):
-        server = AnalysisServer(socket_path=str(tmp_path / "a.sock"))
-        server.start()
-        admin = AdminServer(server, port=0)
+    """The admin plane over the package's one-worker acceptor."""
+
+    def test_probes_and_route_listing(self, acceptor):
+        admin = AdminServer(acceptor, port=0)
         admin.start()
         try:
             status, body = _get(admin.address, "/healthz")
@@ -85,39 +78,37 @@ class TestAdminSingleProcess:
             assert _get(admin.address, "/metrics?scrape=1")[0] == 200
         finally:
             admin.shutdown()
-            server.shutdown(drain=True, timeout=10.0)
 
-    def test_metrics_views_reflect_finished_sessions(self, tmp_path, traces):
-        server = AnalysisServer(socket_path=str(tmp_path / "a.sock"))
-        server.start()
-        admin = AdminServer(server, port=0)
+    def test_metrics_views_reflect_finished_sessions(self, acceptor, traces):
+        admin = AdminServer(acceptor, port=0)
         admin.start()
         try:
+            before = json.loads(_get(admin.address, "/metrics.json")[1])
             path, reference = traces[("T1", "hwlc+dr")]
-            assert fetch_report(path, socket_path=server.address) == reference
+            assert fetch_report(path, socket_path=acceptor.address) == reference
 
             status, text = _get(admin.address, "/metrics")
             assert status == 200
             assert "# TYPE repro_service_sessions_total counter" in text
-            assert "repro_service_sessions_total 1" in text
+            sessions = int(_counter(before, "repro_service_sessions_total")) + 1
+            assert f"repro_service_sessions_total {sessions}" in text
 
             status, body = _get(admin.address, "/metrics.json")
             assert status == 200
             snapshot = json.loads(body)
             validate_snapshot(snapshot)
-            assert _counter(snapshot, "repro_service_reports_total") == 1
+            assert _counter(snapshot, "repro_service_reports_total") == (
+                _counter(before, "repro_service_reports_total") + 1
+            )
         finally:
             admin.shutdown()
-            server.shutdown(drain=True, timeout=10.0)
 
     def test_sessions_view_tracks_the_session_lifecycle(
-        self, tmp_path, traces
+        self, acceptor, traces
     ):
-        server = AnalysisServer(socket_path=str(tmp_path / "a.sock"))
-        server.start()
-        admin = AdminServer(server, port=0)
+        admin = AdminServer(acceptor, port=0)
         admin.start()
-        client = AnalysisClient(socket_path=server.address)
+        client = AnalysisClient(socket_path=acceptor.address)
         try:
             welcome = client.hello("hwlc+dr")
             assert welcome["trace"]  # correlation id minted at open
@@ -141,31 +132,26 @@ class TestAdminSingleProcess:
                 ]
                 == []
             )
-
-            status, body = _get(admin.address, "/workers")
-            (worker,) = json.loads(body)["workers"]
-            assert worker["worker"] == "w0"
-            assert worker["pid"] == os.getpid()
-            assert worker["alive"] is True
-            assert worker["restarts"] == 0
         finally:
             client.close()
             admin.shutdown()
-            server.shutdown(drain=True, timeout=10.0)
 
     def test_readyz_flips_to_503_on_drain(self, tmp_path):
-        server = AnalysisServer(socket_path=str(tmp_path / "a.sock"))
+        server = ShardedAnalysisServer(
+            socket_path=str(tmp_path / "a.sock"), workers=1, threads=1
+        )
         server.start()
         admin = AdminServer(server, port=0)
         admin.start()
         try:
             assert _get(admin.address, "/readyz")[0] == 200
-            server.shutdown(drain=True, timeout=10.0)
+            server.shutdown(drain=True, timeout=30.0)
             status, body = _get(admin.address, "/readyz")
             assert status == 503
             assert json.loads(body) == {"status": "draining"}
         finally:
             admin.shutdown()
+            server.shutdown(drain=True, timeout=30.0)
 
 
 class TestAdminSharded:
@@ -220,21 +206,19 @@ class TestAdminSharded:
 
 
 class TestWorkerErrorAccounting:
-    def test_worker_loop_survives_counts_and_logs(
-        self, tmp_path, traces, monkeypatch
-    ):
+    def test_worker_loop_survives_counts_and_logs(self, traces, monkeypatch):
         """A bug in batch processing must not kill the worker thread:
         the loop counts it, logs the traceback with the session id, and
-        keeps serving other sessions."""
+        keeps serving other sessions.  The worker's server runs in this
+        process, fed through ``adopt`` as the acceptor feeds it."""
         from repro.service import session as session_mod
 
         stream = io.StringIO()
         server = AnalysisServer(
-            socket_path=str(tmp_path / "a.sock"),
             logger=StructuredLogger(stream, level="error"),
         )
         server.start()
-        client = AnalysisClient(socket_path=server.address)
+        sock = adopt(server, {"config": "hwlc+dr"}, assigned="s0001")
         try:
             def boom(self):
                 raise RuntimeError("injected batch failure")
@@ -242,15 +226,17 @@ class TestWorkerErrorAccounting:
             monkeypatch.setattr(
                 session_mod.ServiceSession, "_process_batch", boom
             )
-            client.hello("hwlc+dr")
-            session_id = client.session_id
-            client.send(b"\x00" * 64)
+            reader = protocol.FrameReader(sock)
+            assert reader.read()[0] == protocol.WELCOME
+            protocol.send_frame(sock, protocol.DATA, b"\x00" * 64)
+
+            def errors_counted() -> float:
+                with server.registry_lock:
+                    snapshot = server.registry.snapshot()
+                return _counter(snapshot, "repro_service_worker_errors_total")
+
             assert _wait_until(
-                lambda: _counter(
-                    server.stats_payload(),
-                    "repro_service_worker_errors_total",
-                )
-                >= 1
+                lambda: errors_counted() >= 1
             ), "worker error was never counted"
             monkeypatch.undo()
 
@@ -261,16 +247,18 @@ class TestWorkerErrorAccounting:
             ]
             errors = [r for r in records if r["event"] == "worker_error"]
             assert errors, records
-            assert errors[0]["session"] == session_id
+            assert errors[0]["session"] == "s0001"
             assert "RuntimeError: injected batch failure" in (
                 errors[0]["traceback"]
             )
 
             # the server is still fully operational afterwards
             path, reference = traces[("T1", "hwlc+dr")]
-            assert fetch_report(path, socket_path=server.address) == reference
+            assert adopted_report(
+                server, path, {"config": "hwlc+dr"}, assigned="s0002"
+            ) == reference
         finally:
-            client.close()
+            sock.close()
             server.shutdown(drain=True, timeout=10.0)
 
 

@@ -16,12 +16,14 @@ The contracts under test are the tentpole's acceptance criteria:
   configured bound** and credit exhaustion is visible as
   ``repro_service_backpressure_stalls_total``;
 * the CLI round trip (``repro client report``/``stat``) works over a
-  unix socket against an in-process server, and a server ERROR frame
-  ends the command with one ``error:`` line and exit status 2.
+  unix socket, and a server ERROR frame ends the command with one
+  ``error:`` line and exit status 2.
 
-Servers run in-process (threads), so each test owns its lifecycle and
-nothing leaks between tests; the backpressure test alone runs a
-one-worker TCP acceptor, the one path a TCP session takes.
+Most tests share the package's one-worker ``acceptor`` and measure
+metrics as deltas over their own sessions.  Tests that need fresh ids,
+other options or a crash start their own acceptor; the two that patch
+a worker's internals drive a listener-less ``AnalysisServer`` in this
+process through ``adopt``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import pickle
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -48,23 +51,27 @@ from repro.service import (
 )
 from repro.service.client import DEFAULT_CHUNK_BYTES
 
-from tests.service.conftest import (  # shared with test_shard
+from tests.service.conftest import (
     BAD_HELLOS,
     CASES,
     CONFIGS,
+    adopt,
+    adopted_report,
+    metric_sum,
     raw_failing_session,
     raw_hello,
+    wait_until,
 )
 
 
-@pytest.fixture
-def unix_server(tmp_path):
-    server = AnalysisServer(
-        socket_path=str(tmp_path / "repro.sock"), workers=2
+def _own_acceptor(tmp_path, name: str = "own", **options) -> ShardedAnalysisServer:
+    """A started one-worker acceptor of this test's own."""
+    server = ShardedAnalysisServer(
+        socket_path=str(tmp_path / f"{name}.sock"), workers=1, threads=1,
+        **options,
     )
     server.start()
-    yield server
-    server.shutdown(drain=True, timeout=10.0)
+    return server
 
 
 def _family(server, name):
@@ -76,14 +83,23 @@ def _sample_values(server, name):
     return [s["value"] for s in family["samples"]] if family else []
 
 
+def _growth(server, run):
+    """Run ``run()``; return a function giving how much a family's sum
+    over ``server``'s samples grew meanwhile."""
+    before = server.stats_payload()
+    run()
+    after = server.stats_payload()
+    return lambda name: metric_sum(after, name) - metric_sum(before, name)
+
+
 class TestRoundTrip:
-    def test_report_byte_identical_over_unix_socket(self, unix_server, traces):
+    def test_report_byte_identical_over_unix_socket(self, acceptor, traces):
         path, reference = traces[("T1", "hwlc+dr")]
-        got = fetch_report(path, "hwlc+dr", socket_path=unix_server.address)
+        got = fetch_report(path, "hwlc+dr", socket_path=acceptor.address)
         assert got == reference
 
     @pytest.mark.parametrize("config", CONFIGS)
-    def test_concurrent_sessions_all_cases(self, unix_server, traces, config):
+    def test_concurrent_sessions_all_cases(self, acceptor, traces, config):
         """Three sessions streaming T1–T3 at once, tiny chunks so their
         blocks interleave on the worker pool: every report must equal
         its offline twin byte-for-byte."""
@@ -95,7 +111,7 @@ class TestRoundTrip:
                 results[case_id] = fetch_report(
                     traces[(case_id, config)][0],
                     config,
-                    socket_path=unix_server.address,
+                    socket_path=acceptor.address,
                     chunk_bytes=1024,
                 )
             except Exception as exc:  # pragma: no cover - surfaced below
@@ -112,21 +128,20 @@ class TestRoundTrip:
         for case_id in CASES:
             assert results[case_id] == traces[(case_id, config)][1], case_id
 
-    def test_session_metrics_populated(self, unix_server, traces):
+    def test_session_metrics_populated(self, acceptor, traces):
         path, _ = traces[("T1", "hwlc+dr")]
-        fetch_report(path, socket_path=unix_server.address)
-        assert sum(
-            _sample_values(unix_server, "repro_service_bytes_ingested_total")
-        ) == path.stat().st_size
-        assert sum(
-            _sample_values(unix_server, "repro_service_reports_total")
-        ) == 1
-        assert _sample_values(unix_server, "repro_service_sessions_total") == [1]
+        grew = _growth(
+            acceptor, lambda: fetch_report(path, socket_path=acceptor.address)
+        )
+        assert grew("repro_service_bytes_ingested_total") == path.stat().st_size
+        assert grew("repro_service_reports_total") == 1
+        assert grew("repro_service_sessions_total") == 1
+        assert len(_sample_values(acceptor, "repro_service_sessions_total")) == 1
 
-    def test_stats_frame_matches_registry(self, unix_server, traces):
+    def test_stats_frame_matches_registry(self, acceptor, traces):
         path, _ = traces[("T1", "hwlc+dr")]
-        fetch_report(path, socket_path=unix_server.address)
-        with AnalysisClient(socket_path=unix_server.address) as client:
+        fetch_report(path, socket_path=acceptor.address)
+        with AnalysisClient(socket_path=acceptor.address) as client:
             snapshot = client.stats()
         names = set(snapshot["metrics"])
         assert {
@@ -136,7 +151,7 @@ class TestRoundTrip:
             "repro_service_backpressure_stalls_total",
         } <= names
 
-    def test_finished_sessions_leave_no_series(self, unix_server, traces):
+    def test_finished_sessions_leave_no_series(self, acceptor, traces):
         """A released session's series fold into each family's
         unlabelled sample: the STAT body stops growing with the
         sessions ever served, and every sum over samples still counts
@@ -146,58 +161,63 @@ class TestRoundTrip:
 
         def samples():
             # The REPORT frame goes out just before the release.
-            deadline = time.monotonic() + 10.0
-            while unix_server.sessions_payload() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert unix_server.sessions_payload() == []
-            snapshot = unix_server.stats_payload()
+            assert wait_until(lambda: not acceptor.sessions_payload())
+            snapshot = acceptor.stats_payload()
             return sum(len(f["samples"]) for f in snapshot["metrics"].values())
 
-        assert fetch_report(path, socket_path=unix_server.address) == reference
-        after_one = samples()
         sessions = 6
-        for _ in range(sessions - 1):
-            assert fetch_report(path, socket_path=unix_server.address) == reference
-        assert samples() == after_one
-        assert sum(
-            _sample_values(unix_server, "repro_service_bytes_ingested_total")
-        ) == sessions * path.stat().st_size
-        assert sum(
-            _sample_values(unix_server, "repro_service_events_total")
-        ) == sessions * events
-        assert _sample_values(unix_server, "repro_service_queue_depth") == []
-        for sample in _family(unix_server, "repro_service_events_total")["samples"]:
+        counts = []
+
+        def serve():
+            for _ in range(sessions):
+                assert fetch_report(path, socket_path=acceptor.address) == reference
+                counts.append(samples())
+
+        grew = _growth(acceptor, serve)
+        assert counts == [counts[0]] * sessions
+        assert grew("repro_service_bytes_ingested_total") == (
+            sessions * path.stat().st_size
+        )
+        assert grew("repro_service_events_total") == sessions * events
+        assert _sample_values(acceptor, "repro_service_queue_depth") == []
+        for sample in _family(acceptor, "repro_service_events_total")["samples"]:
             assert "session" not in sample["labels"]
 
 
 class TestErrors:
-    def test_unknown_config_rejected(self, unix_server):
-        with AnalysisClient(socket_path=unix_server.address) as client:
+    def test_unknown_config_rejected(self, acceptor):
+        with AnalysisClient(socket_path=acceptor.address) as client:
             with pytest.raises(ServiceError) as exc:
                 client.hello("helgrind++")
         assert "hwlc+dr" in str(exc.value)  # the error lists known names
 
-    def test_resume_without_checkpoint_dir(self, unix_server):
-        with AnalysisClient(socket_path=unix_server.address) as client:
-            with pytest.raises(ServiceError):
-                client.hello(session="s0001")
+    def test_resume_without_checkpoint_dir(self, tmp_path):
+        server = _own_acceptor(tmp_path)
+        try:
+            with AnalysisClient(socket_path=server.address) as client:
+                with pytest.raises(
+                    ServiceError, match="server has no checkpoint directory"
+                ):
+                    client.hello(session="s0001")
+        finally:
+            server.shutdown(drain=True, timeout=30.0)
 
     @pytest.mark.parametrize(
         "checkpoints", [False, True], ids=["no-checkpoints", "checkpoints"]
     )
     def test_mistyped_hello_is_an_error_frame(
-        self, tmp_path, traces, checkpoints
+        self, request, tmp_path, traces, checkpoints
     ):
-        """Each HELLO field with the wrong JSON type is answered with an
-        ERROR frame instead of killing the connection's reader thread,
-        and the same server then serves a byte-identical report."""
+        """The acceptor answers each HELLO field with the wrong JSON
+        type with an ERROR frame — its handshake thread, which hashes
+        the session id, survives — and then serves a byte-identical
+        report, with a checkpoint directory (the shared acceptor) and
+        without one."""
         path, reference = traces[("T1", "hwlc+dr")]
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "a.sock"),
-            workers=1,
-            checkpoint_dir=str(tmp_path / "ck") if checkpoints else None,
-        )
-        server.start()
+        if checkpoints:
+            server = request.getfixturevalue("acceptor")
+        else:
+            server = _own_acceptor(tmp_path)
         try:
             for name, (body, message) in BAD_HELLOS.items():
                 answer = raw_hello(server.address, body)
@@ -207,24 +227,25 @@ class TestErrors:
                 assert message in reply["error"], name
             assert fetch_report(path, socket_path=server.address) == reference
         finally:
-            server.shutdown(drain=True, timeout=10.0)
+            if not checkpoints:
+                server.shutdown(drain=True, timeout=30.0)
 
-    def test_error_frame_closes_the_connection(self, unix_server, traces):
+    def test_error_frame_closes_the_connection(self, acceptor, traces):
         """A session whose analysis fails gets its ERROR frame and then
         EOF, as the protocol says, not a connection left open until the
         client gives up; the server then serves the next client."""
-        frames = raw_failing_session(unix_server.address)
+        frames = raw_failing_session(acceptor.address)
         assert [ftype for ftype, _ in frames] == [protocol.WELCOME, protocol.ERROR]
         assert "bad magic" in frames[-1][1]["error"]
         path, reference = traces[("T1", "hwlc+dr")]
-        assert fetch_report(path, socket_path=unix_server.address) == reference
+        assert fetch_report(path, socket_path=acceptor.address) == reference
 
-    def test_data_before_hello(self, unix_server):
-        with AnalysisClient(socket_path=unix_server.address) as client:
+    def test_data_before_hello(self, acceptor):
+        with AnalysisClient(socket_path=acceptor.address) as client:
             with pytest.raises(ServiceError):
                 client.send(b"xx")
 
-    def test_corrupt_stream_fails_session_not_server(self, unix_server, traces):
+    def test_corrupt_stream_fails_session_not_server(self, acceptor, traces):
         """Garbage bytes must kill the *session* (ERROR frame, metric)
         — never a worker thread; the next client is unaffected.  That
         includes a header declaring a 1 TiB string, which must fail on
@@ -245,21 +266,22 @@ class TestErrors:
             (codec.MAGIC + unknown_type, "corrupt trace"),
             (codec.MAGIC + undefined_stack, "corrupt trace"),
         ]
-        for payload, reason in corrupt:
-            with AnalysisClient(socket_path=unix_server.address) as client:
-                client.hello("hwlc+dr")
-                client.send(payload)
-                with pytest.raises(ServiceError) as exc:
-                    client.finish()
-            assert reason in str(exc.value)
-        assert sum(
-            _sample_values(unix_server, "repro_service_analysis_errors_total")
-        ) == len(corrupt)
-        # Both workers must still be alive and serving.
+        def stream_all():
+            for payload, reason in corrupt:
+                with AnalysisClient(socket_path=acceptor.address) as client:
+                    client.hello("hwlc+dr")
+                    client.send(payload)
+                    with pytest.raises(ServiceError) as exc:
+                        client.finish()
+                assert reason in str(exc.value)
+
+        grew = _growth(acceptor, stream_all)
+        assert grew("repro_service_analysis_errors_total") == len(corrupt)
+        # Both analysis threads must still be alive and serving.
         path, reference = traces[("T1", "hwlc+dr")]
         for _ in range(2):
             assert fetch_report(
-                path, socket_path=unix_server.address
+                path, socket_path=acceptor.address
             ) == reference
 
 
@@ -290,41 +312,28 @@ class TestKillAndResume:
         path, reference = traces[("T2", "hwlc+dr")]
         data = path.read_bytes()
         ckpt_dir = tmp_path / "ckpt"
-
-        server1 = AnalysisServer(
-            socket_path=str(tmp_path / "one.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
-            checkpoint_every=300,
-        )
-        server1.start()
-        client = AnalysisClient(socket_path=server1.address)
-        client.hello("hwlc+dr")
-        session_id = client.session_id
-        # Stream roughly half the trace, then wait until the periodic
-        # checkpoint cadence has fired at least once.
-        half = len(data) // 2
-        pos = 0
-        while pos < half:
-            client.send(data[pos:pos + 4096])
-            pos += 4096
         store = CheckpointStore(ckpt_dir)
-        deadline = time.monotonic() + 10
-        while not store.session_ids() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert store.session_ids() == [session_id]
-        server1.shutdown(drain=False)  # the crash
-        client.close()
+
+        server1 = _own_acceptor(
+            tmp_path, "one", checkpoint_dir=str(ckpt_dir), checkpoint_every=300
+        )
+        try:
+            with AnalysisClient(socket_path=server1.address) as client:
+                client.hello("hwlc+dr")
+                session_id = client.session_id
+                # Stream roughly half the trace, then wait until the
+                # periodic checkpoint cadence has fired at least once.
+                for pos in range(0, len(data) // 2, 4096):
+                    client.send(data[pos:pos + 4096])
+                assert wait_until(lambda: store.session_ids() == [session_id])
+                server1.shutdown(drain=False)  # the crash: workers killed
+        finally:
+            server1.shutdown(drain=False)
 
         ckpt = store.load(session_id)
         assert 0 < ckpt.offset < len(data)
 
-        server2 = AnalysisServer(
-            socket_path=str(tmp_path / "two.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
-        )
-        server2.start()
+        server2 = _own_acceptor(tmp_path, "two", checkpoint_dir=str(ckpt_dir))
         try:
             got = fetch_report(
                 path, socket_path=server2.address, session=session_id
@@ -335,45 +344,33 @@ class TestKillAndResume:
             ) == [1]
             # A finished session's checkpoint is garbage-collected
             # (by the worker shortly after it ships the report).
-            deadline = time.monotonic() + 5
-            while store.session_ids() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert store.session_ids() == []
+            assert wait_until(lambda: store.session_ids() == [], 5)
         finally:
-            server2.shutdown(drain=True, timeout=10.0)
+            server2.shutdown(drain=True, timeout=30.0)
 
     def test_fresh_ids_skip_checkpointed_sessions(self, tmp_path, traces):
-        """After a restart, fresh session ids must not collide with a
-        prior incarnation's resumable checkpoints — a collision would
-        overwrite, then delete, the other client's checkpoint file."""
+        """After a restart, the acceptor's fresh session ids must not
+        collide with a prior incarnation's resumable checkpoints — a
+        collision would overwrite, then delete, the other client's
+        checkpoint file."""
         path, reference = traces[("T1", "hwlc+dr")]
         data = path.read_bytes()
         ckpt_dir = tmp_path / "ckpt"
-        server1 = AnalysisServer(
-            socket_path=str(tmp_path / "one.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
-            checkpoint_every=1,
-        )
-        server1.start()
-        client = AnalysisClient(socket_path=server1.address)
-        client.hello("hwlc+dr")
-        old_id = client.session_id
-        client.send(data[:8192])
         store = CheckpointStore(ckpt_dir)
-        deadline = time.monotonic() + 10
-        while not store.session_ids() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert store.session_ids() == [old_id]
-        server1.shutdown(drain=False)
-        client.close()
-
-        server2 = AnalysisServer(
-            socket_path=str(tmp_path / "two.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
+        server1 = _own_acceptor(
+            tmp_path, "one", checkpoint_dir=str(ckpt_dir), checkpoint_every=1
         )
-        server2.start()
+        try:
+            with AnalysisClient(socket_path=server1.address) as client:
+                client.hello("hwlc+dr")
+                old_id = client.session_id
+                client.send(data[:8192])
+                assert wait_until(lambda: store.session_ids() == [old_id])
+                server1.shutdown(drain=False)
+        finally:
+            server1.shutdown(drain=False)
+
+        server2 = _own_acceptor(tmp_path, "two", checkpoint_dir=str(ckpt_dir))
         try:
             # A full fresh run (open → stream → finish, which deletes
             # *its own* checkpoint) must get a new id and leave the old
@@ -383,62 +380,47 @@ class TestKillAndResume:
                 assert fresh.session_id != old_id
                 fresh.stream_file(path)
                 assert fresh.finish() == reference
+            assert wait_until(lambda: not server2.sessions_payload())
             assert store.session_ids() == [old_id]
             # …and the old session must still resume to the same bytes.
             assert fetch_report(
                 path, socket_path=server2.address, session=old_id
             ) == reference
         finally:
-            server2.shutdown(drain=True, timeout=10.0)
+            server2.shutdown(drain=True, timeout=30.0)
 
     def test_concurrent_resume_single_winner(self, tmp_path, traces,
                                              monkeypatch):
-        """Two simultaneous HELLO{session: X} frames: exactly one may
-        win; the loser gets 'already active' even though both arrive
-        before the winner's checkpoint load completes."""
-        path, reference = traces[("T2", "hwlc+dr")]
-        data = path.read_bytes()
-        ckpt_dir = tmp_path / "ckpt"
-        server1 = AnalysisServer(
-            socket_path=str(tmp_path / "one.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
-            checkpoint_every=1,
-        )
-        server1.start()
-        client = AnalysisClient(socket_path=server1.address)
-        client.hello("hwlc+dr")
-        session_id = client.session_id
-        client.send(data[:8192])
-        store = CheckpointStore(ckpt_dir)
-        deadline = time.monotonic() + 10
-        while not store.session_ids() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        server1.shutdown(drain=False)
-        client.close()
+        """Two HELLO{session: X} handed to one worker at once: exactly
+        one may win; the loser gets 'already active' even though both
+        arrive before the winner's checkpoint load completes."""
+        from repro.api import Session
+        from repro.service import Checkpoint
 
+        path, reference = traces[("T2", "hwlc+dr")]
+        analysed = Session("hwlc+dr")
+        analysed.feed(path.read_bytes()[:8192])
+        CheckpointStore(tmp_path / "ckpt").save(
+            Checkpoint(
+                "s0001", "hwlc+dr", analysed.bytes_fed,
+                analysed.events_seen, analysed.snapshot(),
+            )
+        )
         real_load = CheckpointStore.load
         monkeypatch.setattr(
             CheckpointStore,
             "load",
             lambda self, sid: (time.sleep(0.4), real_load(self, sid))[1],
         )
-        server2 = AnalysisServer(
-            socket_path=str(tmp_path / "two.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
-        )
-        server2.start()
-        outcomes: list[str] = []
+        server = AnalysisServer(workers=1, checkpoint_dir=str(tmp_path / "ckpt"))
+        server.start()
+        answers: list[tuple[int, dict]] = []
 
         def try_resume(delay: float) -> None:
             time.sleep(delay)
-            try:
-                with AnalysisClient(socket_path=server2.address) as c:
-                    c.hello(session=session_id)
-                    outcomes.append("resumed")
-            except ServiceError:
-                outcomes.append("rejected")
+            with adopt(server, {"session": "s0001"}) as sock:
+                ftype, payload = protocol.FrameReader(sock).read()
+            answers.append((ftype, protocol.decode_json(payload)))
 
         threads = [
             threading.Thread(target=try_resume, args=(delay,))
@@ -449,36 +431,26 @@ class TestKillAndResume:
         for t in threads:
             t.join(timeout=30)
         try:
-            assert sorted(outcomes) == ["rejected", "resumed"]
+            assert sorted(ftype for ftype, _ in answers) == [
+                protocol.WELCOME, protocol.ERROR,
+            ]
+            (error,) = [body for ftype, body in answers if ftype == protocol.ERROR]
+            assert "already active" in error["error"]
             # Wait out the winner's detach (async, on the worker pool),
             # then the session must resume cleanly from its checkpoint.
-            deadline = time.monotonic() + 10
-            while server2._sessions and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert fetch_report(
-                path, socket_path=server2.address, session=session_id
-            ) == reference
-        finally:
-            server2.shutdown(drain=True, timeout=10.0)
-
-    def test_resume_active_session_rejected(self, tmp_path, traces):
-        path, _ = traces[("T1", "hwlc+dr")]
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "a.sock"),
-            workers=1,
-            checkpoint_dir=str(tmp_path / "ck"),
-        )
-        server.start()
-        try:
-            with AnalysisClient(socket_path=server.address) as first:
-                first.hello("hwlc+dr")
-                with AnalysisClient(socket_path=server.address) as second:
-                    with pytest.raises(ServiceError):
-                        second.hello(session=first.session_id)
+            assert wait_until(lambda: not server.sessions_payload(), 10)
+            assert adopted_report(server, path, {"session": "s0001"}) == reference
         finally:
             server.shutdown(drain=True, timeout=10.0)
 
-    def test_unloadable_checkpoint_is_an_error_frame(self, tmp_path, traces):
+    def test_resume_active_session_rejected(self, acceptor):
+        with AnalysisClient(socket_path=acceptor.address) as first:
+            first.hello("hwlc+dr")
+            with AnalysisClient(socket_path=acceptor.address) as second:
+                with pytest.raises(ServiceError, match="already active"):
+                    second.hello(session=first.session_id)
+
+    def test_unloadable_checkpoint_is_an_error_frame(self, acceptor, traces):
         """A checkpoint whose snapshot no longer unpickles — a frame
         pickled before frames became tuples — fails the resume with an
         ERROR frame, and the server goes on serving fresh sessions."""
@@ -486,28 +458,19 @@ class TestKillAndResume:
         from tests.conftest import DATACLASS_FRAME_PICKLE
 
         path, reference = traces[("T1", "hwlc+dr")]
-        ckpt_dir = tmp_path / "ck"
-        CheckpointStore(ckpt_dir).save(
-            Checkpoint("s0042", "hwlc+dr", 0, 0, DATACLASS_FRAME_PICKLE)
+        # Not an ``sNNNN`` id: the shared acceptor never assigns it.
+        CheckpointStore(acceptor.checkpoint_dir).save(
+            Checkpoint("x-unloadable", "hwlc+dr", 0, 0, DATACLASS_FRAME_PICKLE)
         )
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "a.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
-        )
-        server.start()
-        try:
-            with AnalysisClient(socket_path=server.address) as client:
-                with pytest.raises(ServiceError) as exc:
-                    client.hello(session="s0042")
-            assert "unsupported session snapshot" in str(exc.value)
-            assert fetch_report(path, socket_path=server.address) == reference
-        finally:
-            server.shutdown(drain=True, timeout=10.0)
+        with AnalysisClient(socket_path=acceptor.address) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.hello(session="x-unloadable")
+        assert "unsupported session snapshot" in str(exc.value)
+        assert fetch_report(path, socket_path=acceptor.address) == reference
 
     @pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
     def test_corrupt_checkpoint_is_an_error_frame(
-        self, tmp_path, traces, damage
+        self, acceptor, traces, damage
     ):
         """A damaged checkpoint file fails the resume with an ERROR
         frame naming it corrupt, and the server goes on serving fresh
@@ -519,35 +482,27 @@ class TestKillAndResume:
         data = path.read_bytes()
         analysed = Session("hwlc+dr")
         analysed.feed(data[: len(data) // 2])
-        saved = CheckpointStore(tmp_path / "ck").save(
+        session_id = f"x-{damage}"
+        saved = CheckpointStore(acceptor.checkpoint_dir).save(
             Checkpoint(
-                "s0042", "hwlc+dr", analysed.bytes_fed,
+                session_id, "hwlc+dr", analysed.bytes_fed,
                 analysed.events_seen, analysed.snapshot(),
             )
         )
         damaged, message = CHECKPOINT_DAMAGE[damage]
         saved.write_bytes(damaged(saved.read_bytes()))
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "a.sock"),
-            workers=1,
-            checkpoint_dir=str(tmp_path / "ck"),
-        )
-        server.start()
-        try:
-            with AnalysisClient(socket_path=server.address) as client:
-                with pytest.raises(
-                    ServiceError, match=f"corrupt checkpoint .*{message}"
-                ):
-                    client.hello(session="s0042")
-            assert fetch_report(path, socket_path=server.address) == reference
-        finally:
-            server.shutdown(drain=True, timeout=10.0)
+        with AnalysisClient(socket_path=acceptor.address) as client:
+            with pytest.raises(
+                ServiceError, match=f"corrupt checkpoint .*{message}"
+            ):
+                client.hello(session=session_id)
+        assert fetch_report(path, socket_path=acceptor.address) == reference
 
 
 class TestPredictiveSessions:
     @pytest.mark.parametrize("case_id", ("T9", "T10"))
     def test_report_matches_offline_predictive_replay(
-        self, unix_server, predictive_traces, case_id
+        self, acceptor, predictive_traces, case_id
     ):
         """A session opened as ``predictive`` runs the prediction pass
         at FINISH: its REPORT equals an offline predictive replay of
@@ -555,7 +510,7 @@ class TestPredictiveSessions:
         path, reference = predictive_traces[case_id]
         assert b'"predicted-' in reference
         assert fetch_report(
-            path, "predictive", socket_path=unix_server.address
+            path, "predictive", socket_path=acceptor.address
         ) == reference
 
 
@@ -600,14 +555,12 @@ class TestIdleTimeout:
         as activity and a session with work in flight is never reaped,
         even when one batch takes longer than ``idle_timeout``."""
         path, reference = traces[("T1", "hwlc+dr")]
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "slow.sock"),
-            workers=1,
+        server = _own_acceptor(
+            tmp_path, "slow",
             queue_blocks=2,
             throttle=0.08,  # 2-chunk batch = 0.16s > idle_timeout
             idle_timeout=0.15,
         )
-        server.start()
         try:
             got = fetch_report(
                 path, socket_path=server.address, chunk_bytes=4096
@@ -617,28 +570,23 @@ class TestIdleTimeout:
                 _sample_values(server, "repro_service_idle_closed_total")
             ) == 0
         finally:
-            server.shutdown(drain=True, timeout=10.0)
+            server.shutdown(drain=True, timeout=30.0)
 
     def test_idle_session_checkpointed_and_resumable(self, tmp_path, traces):
         path, reference = traces[("T1", "hwlc+dr")]
         data = path.read_bytes()
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "idle.sock"),
-            workers=1,
+        server = _own_acceptor(
+            tmp_path, "idle",
             idle_timeout=0.15,
             checkpoint_dir=str(tmp_path / "ck"),
         )
-        server.start()
         try:
             client = AnalysisClient(socket_path=server.address)
             client.hello("hwlc+dr")
             session_id = client.session_id
             client.send(data[:8192])
             store = CheckpointStore(tmp_path / "ck")
-            deadline = time.monotonic() + 10
-            while not store.session_ids() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert store.session_ids() == [session_id]
+            assert wait_until(lambda: store.session_ids() == [session_id], 10)
             assert _sample_values(
                 server, "repro_service_idle_closed_total"
             ) == [1]
@@ -651,41 +599,41 @@ class TestIdleTimeout:
             assert got == reference
             assert ckpt.offset <= len(data)
         finally:
-            server.shutdown(drain=True, timeout=10.0)
+            server.shutdown(drain=True, timeout=30.0)
 
 
 class TestCliClient:
-    def test_client_report_and_stat(self, unix_server, traces, tmp_path, capsys):
+    def test_client_report_and_stat(self, acceptor, traces, tmp_path, capsys):
         from repro.cli import main
 
         path, reference = traces[("T3", "hwlc+dr")]
         out = tmp_path / "service-report.json"
         assert main([
             "client", "report", str(path), "hwlc+dr",
-            "--socket", unix_server.address, "--report-out", str(out),
+            "--socket", acceptor.address, "--report-out", str(out),
         ]) == 0
         printed = capsys.readouterr().out
         assert "reported locations" in printed
         assert out.read_bytes() == reference
 
-        assert main(["client", "stat", "--socket", unix_server.address]) == 0
+        assert main(["client", "stat", "--socket", acceptor.address]) == 0
         printed = capsys.readouterr().out
         assert "repro_service_sessions_total" in printed
 
-    def test_client_record_live_stream(self, unix_server, tmp_path, capsys):
+    def test_client_record_live_stream(self, acceptor, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "live-report.json"
         assert main([
             "client", "record", "T1", "hwlc+dr",
-            "--socket", unix_server.address, "--report-out", str(out),
+            "--socket", acceptor.address, "--report-out", str(out),
         ]) == 0
         printed = capsys.readouterr().out
         assert "streamed" in printed
         report = json.loads(out.read_bytes())
         assert report["warnings"]
 
-    def test_server_error_frame_is_one_line(self, unix_server, tmp_path, capsys):
+    def test_server_error_frame_is_one_line(self, acceptor, tmp_path, capsys):
         """The server's ERROR frame ends ``client report`` with one
         ``error:`` line on stderr and exit status 2, as ``trace replay``
         ends on the same file — also for a file longer than the client's
@@ -697,32 +645,22 @@ class TestCliClient:
         for lines in (1, 12 * DEFAULT_CHUNK_BYTES // len(line)):
             trace.write_bytes(line * lines)
             assert main([
-                "client", "report", str(trace), "--socket", unix_server.address,
+                "client", "report", str(trace), "--socket", acceptor.address,
             ]) == 2, lines
             assert capsys.readouterr().err == (
                 "error: ValueError: not a binary trace (bad magic)\n"
             ), lines
 
-    def test_corrupt_checkpoint_resume_is_one_line(self, tmp_path, traces, capsys):
+    def test_corrupt_checkpoint_resume_is_one_line(self, acceptor, traces, capsys):
         from repro.cli import main
 
         path, _reference = traces[("T1", "hwlc+dr")]
-        ckpt_dir = tmp_path / "ck"
-        ckpt_dir.mkdir()
-        (ckpt_dir / "s0042.ckpt").write_bytes(b"abc")
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "a.sock"),
-            workers=1,
-            checkpoint_dir=str(ckpt_dir),
-        )
-        server.start()
-        try:
-            assert main([
-                "client", "report", str(path), "--session", "s0042",
-                "--socket", server.address,
-            ]) == 2
-        finally:
-            server.shutdown(drain=True, timeout=10.0)
+        # Not an ``sNNNN`` id: the shared acceptor never assigns it.
+        (Path(acceptor.checkpoint_dir) / "x-cli.ckpt").write_bytes(b"abc")
+        assert main([
+            "client", "report", str(path), "--session", "x-cli",
+            "--socket", acceptor.address,
+        ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: corrupt checkpoint")
         assert err.count("\n") == 1

@@ -17,12 +17,14 @@ The contracts under test are the sharding PR's acceptance criteria:
   process listens on any socket, and a client's own ``trace`` id
   survives the acceptor;
 * ``STAT`` merges every worker's metrics into one view, with
-  ``--per-worker`` exposing the unmerged per-process snapshots;
+  ``--per-worker`` exposing the unmerged per-process snapshots; a STAT
+  sent after HELLO reaches the worker, which answers it with ERROR;
 * restarting ``repro serve`` on the same endpoint never races the old
   instance's drain (the listener is released *before* draining).
 
-Worker processes are real subprocesses; tests that spawn them are
-kept few and each owns its server's lifecycle.
+Worker processes are real subprocesses.  A test about routing starts
+its own two-worker acceptor; the rest share the package's one-worker
+``acceptor``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ import json
 import os
 import signal
 import threading
-import time
 
 import pytest
 
 from repro.service import (
     AnalysisClient,
-    AnalysisServer,
     CheckpointStore,
     HashRing,
     ServiceError,
@@ -52,23 +52,11 @@ from tests.service.conftest import (
     CASES,
     client_endpoint,
     connect,
+    metric_sum as _metric_sum,
     raw_failing_session,
     raw_hello,
+    wait_until as _wait_until,
 )
-
-
-def _metric_sum(snapshot: dict, name: str) -> float:
-    family = snapshot.get("metrics", {}).get(name)
-    return sum(s["value"] for s in family["samples"]) if family else 0.0
-
-
-def _wait_until(cond, timeout: float = 15.0, interval: float = 0.05) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if cond():
-            return True
-        time.sleep(interval)
-    return cond()
 
 
 class TestHashRing:
@@ -111,13 +99,13 @@ class TestHashRing:
 
 class TestShardedUnix:
     def test_mistyped_hello_is_an_error_frame(self, tmp_path, traces):
-        """The acceptor answers each HELLO field with the wrong JSON
-        type with an ERROR frame — its handshake thread, which hashes
-        the session id, survives — and the service then serves a
-        byte-identical report."""
+        """An acceptor routing among two workers answers each HELLO
+        field with the wrong JSON type with an ERROR frame, before it
+        hashes anything onto the ring — its handshake thread survives —
+        and then serves a byte-identical report."""
         path, reference = traces[("T1", "hwlc+dr")]
         server = ShardedAnalysisServer(
-            socket_path=str(tmp_path / "shard.sock"), workers=1, threads=1
+            socket_path=str(tmp_path / "shard.sock"), workers=2, threads=1
         )
         server.start()
         try:
@@ -131,7 +119,9 @@ class TestShardedUnix:
         finally:
             server.shutdown(drain=True, timeout=30.0)
 
-    def test_error_frame_closes_the_handed_over_connection(self, tmp_path, traces):
+    def test_error_frame_closes_the_handed_over_connection(
+        self, acceptor, tmp_path, traces
+    ):
         """A worker's failed session ends with ERROR and then EOF on
         the connection the acceptor handed over — also for a client
         still streaming past its credit window, which must get the
@@ -141,21 +131,14 @@ class TestShardedUnix:
         corrupt = tmp_path / "t.jsonl"
         line = b'{"type":"MemoryAccess"}\n'
         corrupt.write_bytes(line * (12 * DEFAULT_CHUNK_BYTES // len(line)))
-        server = ShardedAnalysisServer(
-            socket_path=str(tmp_path / "shard.sock"), workers=1, threads=1
-        )
-        server.start()
-        try:
-            frames = raw_failing_session(server.address)
-            assert [ftype for ftype, _ in frames] == [
-                protocol.WELCOME, protocol.ERROR,
-            ]
-            assert "bad magic" in frames[-1][1]["error"]
-            with pytest.raises(ServiceError, match="bad magic"):
-                fetch_report(corrupt, socket_path=server.address)
-            assert fetch_report(path, socket_path=server.address) == reference
-        finally:
-            server.shutdown(drain=True, timeout=30.0)
+        frames = raw_failing_session(acceptor.address)
+        assert [ftype for ftype, _ in frames] == [
+            protocol.WELCOME, protocol.ERROR,
+        ]
+        assert "bad magic" in frames[-1][1]["error"]
+        with pytest.raises(ServiceError, match="bad magic"):
+            fetch_report(corrupt, socket_path=acceptor.address)
+        assert fetch_report(path, socket_path=acceptor.address) == reference
 
     def test_concurrent_sessions_byte_identical_and_merged_stats(
         self, tmp_path, traces
@@ -223,6 +206,41 @@ class TestShardedUnix:
             assert _metric_sum(merged, "repro_service_sessions_total") == 1
             assert sorted(per["workers"]) == ["w0", "w1"]
             assert _metric_sum(per["merged"], "repro_service_sessions_total") == 1
+        finally:
+            server.shutdown(drain=True, timeout=30.0)
+
+    def test_stat_after_hello_is_an_error(self, tmp_path, traces):
+        """Only the acceptor answers STAT, before any HELLO: a STAT on
+        a handed-over connection reaches the owning worker, which
+        answers ERROR and closes, and the session detaches.  A STAT
+        on a fresh connection still gets the merge of both workers."""
+        path, reference = traces[("T1", "hwlc+dr")]
+        server = ShardedAnalysisServer(
+            socket_path=str(tmp_path / "shard.sock"), workers=2, threads=1
+        )
+        server.start()
+        try:
+            for _ in range(4):
+                assert fetch_report(path, socket_path=server.address) == reference
+            for body in ({}, {"per_worker": True}):
+                with connect(server.address, 10.0) as sock:
+                    protocol.send_json(sock, protocol.HELLO, {"config": "hwlc+dr"})
+                    protocol.send_json(sock, protocol.STAT, body)
+                    reader = protocol.FrameReader(sock)
+                    assert reader.read()[0] == protocol.WELCOME
+                    ftype, payload = reader.read()
+                    assert (ftype, protocol.decode_json(payload)) == (
+                        protocol.ERROR, {"error": "unexpected STAT frame"},
+                    )
+                    assert reader.read() is None
+            assert _wait_until(lambda: not server.sessions_payload())
+            with AnalysisClient(socket_path=server.address) as client:
+                merged = client.stats()
+                per = client.stats(per_worker=True)
+            assert _metric_sum(merged, "repro_service_sessions_total") == 6
+            assert _metric_sum(merged, "repro_service_workers") == 2
+            assert sorted(per["workers"]) == ["w0", "w1"]
+            assert _metric_sum(per["merged"], "repro_service_sessions_total") == 6
         finally:
             server.shutdown(drain=True, timeout=30.0)
 
@@ -349,25 +367,6 @@ class TestWorkerFailover:
             server.shutdown(drain=True, timeout=30.0)
 
 
-@pytest.fixture(params=("in-process", "acceptor"))
-def checkpointing_server(request, tmp_path):
-    """An in-process unix ``AnalysisServer`` or a one-worker TCP
-    acceptor, each checkpointing after every chunk into
-    ``tmp_path/ckpt``."""
-    kwargs = {"checkpoint_dir": str(tmp_path / "ckpt"), "checkpoint_every": 1}
-    if request.param == "in-process":
-        server = AnalysisServer(
-            socket_path=str(tmp_path / "a.sock"), workers=1, **kwargs
-        )
-    else:
-        server = ShardedAnalysisServer(
-            host="127.0.0.1", port=0, workers=1, threads=1, **kwargs
-        )
-    server.start()
-    yield server
-    server.shutdown(drain=True, timeout=30.0)
-
-
 def _listening_inodes() -> set[int]:
     """Socket inodes of every listening TCP (v4 and v6) and unix
     socket in this network namespace, read from Linux ``/proc/net``."""
@@ -405,63 +404,49 @@ def _socket_inodes(pid: int) -> set[int]:
 
 
 class TestSilentConnections:
-    @pytest.mark.parametrize(
-        ("kind", "handler"),
-        [("in-process", "repro-reader"), ("acceptor", "repro-shard-handshake")],
-    )
     def test_a_connection_without_hello_is_closed_with_an_error(
-        self, kind, handler, tmp_path, traces, monkeypatch
+        self, acceptor, traces, monkeypatch
     ):
         """A connection that never sends HELLO gets an ERROR naming the
-        bound, then EOF, and its server thread ends; the idle reaper
-        alone would never see it.  A session afterwards reports what
-        offline replay does."""
+        bound, then EOF, and its handshake thread ends; the workers'
+        idle reaper would never see it.  A session afterwards reports
+        what offline replay does."""
         monkeypatch.setattr(protocol, "HELLO_TIMEOUT_S", 0.3)
         path, reference = traces[("T1", "hwlc+dr")]
-        sock_path = str(tmp_path / "s.sock")
-        if kind == "in-process":
-            server = AnalysisServer(socket_path=sock_path, workers=1, idle_timeout=0.5)
-        else:
-            server = ShardedAnalysisServer(
-                socket_path=sock_path, workers=1, threads=1, idle_timeout=0.5
-            )
 
         def handlers() -> set:
-            return {t for t in threading.enumerate() if t.name == handler}
+            return {
+                t for t in threading.enumerate()
+                if t.name == "repro-shard-handshake"
+            }
 
-        server.start()
+        before = handlers()
+        silent = [connect(acceptor.address, 5.0) for _ in range(3)]
         try:
-            before = handlers()
-            silent = [connect(server.address, 5.0) for _ in range(3)]
-            try:
-                for sock in silent:
-                    reader = protocol.FrameReader(sock)
-                    ftype, payload = reader.read()
-                    assert ftype == protocol.ERROR
-                    assert protocol.decode_json(payload) == {
-                        "error": "no HELLO within 0.3 s"
-                    }
-                    assert reader.read() is None
-            finally:
-                for sock in silent:
-                    sock.close()
-            assert _wait_until(lambda: not handlers() - before, timeout=5.0)
-            assert fetch_report(path, socket_path=server.address) == reference
+            for sock in silent:
+                reader = protocol.FrameReader(sock)
+                ftype, payload = reader.read()
+                assert ftype == protocol.ERROR
+                assert protocol.decode_json(payload) == {
+                    "error": "no HELLO within 0.3 s"
+                }
+                assert reader.read() is None
         finally:
-            server.shutdown(drain=True, timeout=30.0)
+            for sock in silent:
+                sock.close()
+        assert _wait_until(lambda: not handlers() - before, timeout=5.0)
+        assert fetch_report(path, socket_path=acceptor.address) == reference
 
 
 class TestSessionIdentity:
-    def test_hello_cannot_take_over_a_detached_session(
-        self, checkpointing_server, traces, tmp_path
-    ):
+    def test_hello_cannot_take_over_a_detached_session(self, acceptor, traces):
         """A HELLO carrying ``assign`` with a detached session's id gets
         a fresh id of the server's choosing: its FINISH leaves the
         owner's checkpoint alone, and the owner's resume still returns
         the byte-identical report."""
-        server = checkpointing_server
+        server = acceptor
         endpoint = client_endpoint(server.address)
-        store = CheckpointStore(tmp_path / "ckpt")
+        store = CheckpointStore(server.checkpoint_dir)
         path, reference = traces[("T2", "hwlc+dr")]
         data = path.read_bytes()
         with AnalysisClient(**endpoint, chunk_bytes=1024) as owner:
@@ -469,8 +454,9 @@ class TestSessionIdentity:
             owner_id = owner.session_id
             for pos in range(0, len(data) // 2, 1024):
                 owner.send(data[pos:pos + 1024])
-            assert _wait_until(lambda: store.session_ids() == [owner_id])
+        # The owner's detach checkpoints the session.
         assert _wait_until(lambda: not server.sessions_payload())
+        assert owner_id in store.session_ids()
 
         with connect(server.address, 10.0) as sock:
             protocol.send_json(
@@ -505,11 +491,11 @@ class TestSessionIdentity:
         finally:
             server.shutdown(drain=True, timeout=30.0)
 
-    def test_client_trace_id_survives_routing(self, checkpointing_server):
+    def test_client_trace_id_survives_routing(self, acceptor):
         """A client's own ``trace`` id is the session's, fresh or
         resumed; only a session whose client sent none gets a minted
         one, which names the session."""
-        address = checkpointing_server.address
+        address = acceptor.address
         ftype, welcome = raw_hello(
             address, {"config": "hwlc+dr", "trace": "client-trace-1"}
         )
@@ -520,7 +506,7 @@ class TestSessionIdentity:
         assert minted["trace"].startswith(minted["session"] + "-")
         # Both connections closed: each session detached to a
         # checkpoint, so both resume.
-        assert _wait_until(lambda: not checkpointing_server.sessions_payload())
+        assert _wait_until(lambda: not acceptor.sessions_payload())
         ftype, resumed = raw_hello(
             address, {"session": minted["session"], "trace": "client-trace-2"}
         )
@@ -530,58 +516,57 @@ class TestSessionIdentity:
 
 class TestShutdownOrder:
     def test_endpoint_released_before_drain(self, tmp_path, traces):
-        """Satellite regression: ``shutdown(drain=True)`` must close
-        *and unlink* the unix endpoint before draining sessions, so a
-        restarted server can bind the same path immediately — and the
-        old instance's drain must not unlink the new instance's socket
-        out from under it afterwards."""
+        """``shutdown(drain=True)`` must close *and unlink* the unix
+        endpoint before draining sessions, so a restarted server can
+        bind the same path immediately — and the old instance's drain
+        must not unlink the new instance's socket out from under it
+        afterwards."""
         path, reference = traces[("T1", "hwlc+dr")]
+        data = path.read_bytes()
         sock_path = str(tmp_path / "same.sock")
-        old = AnalysisServer(socket_path=sock_path, workers=1, queue_blocks=2)
+        # Each chunk the old worker analyses takes half a second, so
+        # with two chunks queued its drain is still running when the
+        # new acceptor binds, however loaded the host is.
+        old = ShardedAnalysisServer(
+            socket_path=sock_path, workers=1, threads=1,
+            queue_blocks=2, throttle=0.5,
+        )
         old.start()
-        client = AnalysisClient(socket_path=sock_path, chunk_bytes=2048)
-        client.hello("hwlc+dr")
-        # The old server analyses the trace's last chunk only once the
-        # new server has bound, so its drain is still running then
-        # however loaded the host is.
-        session = old._sessions[client.session_id]
-        size = path.stat().st_size
-        bound = threading.Event()
-        feed = session.api.feed
-
-        def held_feed(data: bytes) -> int:
-            if session.api.bytes_fed + len(data) == size:
-                bound.wait(30)
-            return feed(data)
-
-        session.api.feed = held_feed
-        client.stream_file(path)
-
+        client = AnalysisClient(socket_path=sock_path)
         drainer = threading.Thread(
             target=lambda: old.shutdown(drain=True, timeout=30.0)
         )
-        drainer.start()
+        new = None
         try:
+            client.hello("hwlc+dr")
+            client.send(data[:2048])
+            client.send(data[2048:4096])
+
+            def second_chunk_queued() -> bool:
+                (entry,) = old.sessions_payload()
+                return entry["bytes"] == 2048 and entry["queue_depth"] == 1
+
+            assert _wait_until(second_chunk_queued, 10)
+            drainer.start()
             # The path frees up while the old server is still draining.
             assert _wait_until(lambda: not os.path.exists(sock_path), 10)
+            new = ShardedAnalysisServer(
+                socket_path=sock_path, workers=1, threads=1
+            )
             assert drainer.is_alive(), "drain finished too fast to test the race"
-
-            new = AnalysisServer(socket_path=sock_path, workers=1)
             new.start()
-            bound.set()
-            try:
-                drainer.join(timeout=30)
-                assert not drainer.is_alive()
-                # The old drain must not have unlinked the new socket.
-                assert os.path.exists(sock_path)
-                got = fetch_report(path, socket_path=sock_path)
-                assert got == reference
-            finally:
-                new.shutdown(drain=True, timeout=10.0)
-        finally:
-            bound.set()
-            client.close()
             drainer.join(timeout=30)
+            assert not drainer.is_alive()
+            # The old drain must not have unlinked the new socket.
+            assert os.path.exists(sock_path)
+            assert fetch_report(path, socket_path=sock_path) == reference
+        finally:
+            client.close()
+            if drainer.is_alive():
+                drainer.join(timeout=30)
+            old.shutdown(drain=True, timeout=30.0)
+            if new is not None:
+                new.shutdown(drain=True, timeout=30.0)
 
     def test_sharded_shutdown_releases_endpoint_first(self, tmp_path):
         """The sharded acceptor honours the same contract: its unix

@@ -110,7 +110,8 @@ class TestEmptyWorker:
         validate_snapshot(merged)
 
     def test_dropped_out_worker_is_just_absent(self):
-        # worker_snapshots() skips a worker that died mid-scrape; the
+        # The acceptor's stats round trip skips a worker that died
+        # mid-scrape; the
         # merge of the survivors is still schema-valid and coherent.
         merged = merge_snapshots([_worker({"s0001": 7}, 1)])
         assert _sample(merged, "repro_service_sessions_active")["value"] == 1.0
