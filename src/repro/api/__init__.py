@@ -1,19 +1,14 @@
 """The public facade: one front door to the analysis pipeline.
 
-Historically the pipeline had three scattered entry points — the
-evaluation harness (:func:`repro.experiments.harness.run_proxy_case`),
-the offline tier (:func:`repro.runtime.trace.replay_trace`), and
-hand-built ``VM`` + detector assemblies — each wiring detectors,
-configurations and replay state slightly differently.  This package
-consolidates them:
-
 * :mod:`repro.api.profiles` — the :class:`~repro.api.profiles
   .AnalysisProfile` registry behind every configuration name: config
   factory and detector factory per tier (the paper's configurations,
   the ``predictive`` tier and the §2.2 baselines register uniformly).
 * :class:`Pipeline` — a profile (or hand-built config) bound to
-  factories for everything built from it: fresh detectors, live harness
-  runs, offline replays, and incremental sessions.
+  everything built from it: fresh detectors, live runs
+  (:meth:`Pipeline.run`, the one live driver), offline replays, and
+  incremental sessions.  Outside this package nothing builds a
+  detector from a profile or calls its ``finalize``.
 * :class:`Session` — one incremental analysis: feed events or encoded
   RPTR v1 bytes in any chunking, snapshot/restore the full mid-stream
   state, read the report at any time.  The streaming analysis service
@@ -33,7 +28,9 @@ working for one PR cycle behind a shim that emits a single
 from __future__ import annotations
 
 import pickle
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.api import profiles
 from repro.api.profiles import AnalysisProfile
@@ -42,9 +39,11 @@ from repro.detectors.report import Report
 from repro.runtime import codec
 from repro.runtime.events import EVENT_TYPES
 from repro.runtime.trace import ReplayVM, build_handler_table, replay_trace
+from repro.runtime.vm import STEP_LIMIT, VM
 
 __all__ = [
     "AnalysisProfile",
+    "LiveRun",
     "Pipeline",
     "Session",
     "profiles",
@@ -70,14 +69,25 @@ def _case_by_id(case_id: str):
         ) from None
 
 
+class LiveRun(NamedTuple):
+    """:meth:`Pipeline.run`'s result: the guest ``main``'s return value,
+    the finalized report, the events emitted and the wall-clock seconds
+    of the run and its ``finalize``."""
+
+    result: object
+    report: Report
+    events: int
+    wall_seconds: float
+
+
 class Pipeline:
     """An analysis profile plus factories for everything built on it.
 
     ``config`` is a profile *name* (validated against
     :mod:`repro.api.profiles`) or a ready :class:`HelgrindConfig`.  The
     pipeline itself is stateless and reusable — each :meth:`detector`,
-    :meth:`session`, :meth:`run_case` or :meth:`replay` call builds
-    fresh analysis state.
+    :meth:`session`, :meth:`run`, :meth:`run_case` or :meth:`replay`
+    call builds fresh analysis state.
     """
 
     def __init__(
@@ -112,6 +122,45 @@ class Pipeline:
         """A fresh incremental :class:`Session` on this configuration."""
         return Session(self, extra_hooks=extra_hooks)
 
+    def run(
+        self,
+        main,
+        *args,
+        scheduler=None,
+        step_limit: int = STEP_LIMIT,
+        extra_hooks: tuple = (),
+        telemetry=None,
+        label: str = "run",
+        detector=None,
+    ) -> LiveRun:
+        """Run ``main(api, *args)`` on a fresh VM; the one live driver.
+
+        It drives ``detector`` if one is handed in (and builds none),
+        else this pipeline's own, on a VM whose hooks are
+        ``(*extra_hooks, detector)``: a recorder in ``extra_hooks``
+        sees exactly the stream the detector sees.  ``finalize`` runs
+        after the guest and before ``telemetry`` is harvested, so the
+        predictive tier's findings and counters are in both.
+        """
+        det = detector if detector is not None else self.detector()
+        instrumented = telemetry is not None and telemetry.enabled
+        vm = VM(
+            detectors=(*extra_hooks, det), scheduler=scheduler,
+            step_limit=step_limit, telemetry=telemetry if instrumented else None,
+        )
+        start = time.perf_counter()
+        if instrumented:
+            telemetry.attach(vm)
+            with telemetry.phase(label):
+                result = vm.run(main, *args)
+            det.finalize()
+            telemetry.record_run(vm, label=label)
+        else:
+            result = vm.run(main, *args)
+            det.finalize()
+        wall = time.perf_counter() - start
+        return LiveRun(result, det.report, vm.stats.total_events, wall)
+
     def run_case(self, case, **kwargs):
         """Run one harness test case live under this configuration.
 
@@ -123,28 +172,27 @@ class Pipeline:
         """
         if self.config_name is None:
             raise ValueError(
-                "run_case needs a named configuration (the harness wires "
-                "the instrumented build from the name); construct the "
-                "Pipeline with a configuration name"
+                "run_case needs a named configuration (the harness labels "
+                "its runs by name); construct the Pipeline with a "
+                "configuration name"
             )
-        # Deferred: the harness imports repro.api for the profiles.
+        # Deferred: the harness imports repro.api for the driver.
         from repro.experiments.harness import run_proxy_case
 
         if isinstance(case, str):
             case = _case_by_id(case)
-        if self.suppressions is not None and "detector" not in kwargs:
-            kwargs["detector"] = self.detector()
-        return run_proxy_case(case, self.config_name, **kwargs)
+        return run_proxy_case(case, self, **kwargs)
 
-    def replay(self, path: str | Path, *, vm=None) -> Report:
-        """Replay a recorded trace file offline; returns the report.
-
-        Byte-identical to the live run's report (see
-        :func:`repro.runtime.trace.replay_trace`).  Predictive profiles
-        run their finalisation post-pass before the report is returned.
+    def replay(
+        self, path: str | Path, *, vm=None, stats: codec.ReplayStats | None = None
+    ) -> Report:
+        """Replay a recorded trace file offline and finalize; returns
+        the report, byte-identical to the live run's.  ``stats`` gets
+        the event total and block accounting (see
+        :func:`repro.runtime.trace.replay_trace`).
         """
         detector = self.detector()
-        replay_trace(path, detector, vm=vm)
+        replay_trace(path, detector, vm=vm, stats=stats)
         detector.finalize()
         return detector.report
 

@@ -53,7 +53,8 @@ class AnalysisProfile:
 
     ``detector_factory`` takes ``(config, *, suppressions=None)`` so a
     caller holding a hand-modified copy of the profile's config (e.g.
-    the ``--no-transition-cache`` escape hatch) can still build the
+    ``config().with_(transition_cache=False)``, the uncached reference
+    path the equivalence tests compare against) can still build the
     profile's detector class around it.
     """
 

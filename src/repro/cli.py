@@ -45,13 +45,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if getattr(args, "no_transition_cache", False):
-        # Process-wide escape hatch (docs/PERFORMANCE.md layer 6): every
-        # detector built after this point — including in forked workers —
-        # runs the unmemoized, unbatched per-event path.
-        from repro.detectors.lockset import set_transition_cache_default
-
-        set_transition_cache_default(False)
     return args.handler(args)
 
 
@@ -99,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the 24 independent cells (1 = sequential)",
     )
     _add_telemetry_flags(p)
-    _add_cache_flag(p)
     p.set_defaults(handler=_cmd_figure6)
 
     p = sub.add_parser("case", help="run one test case under one configuration")
@@ -149,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_telemetry_flags(p)
-    _add_cache_flag(p)
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("suppress", help="triage a case and emit suppressions")
@@ -213,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="save the offline report (byte-identical to the live one)",
     )
-    _add_cache_flag(tp)
     tp.set_defaults(handler=_cmd_trace_replay)
 
     tp = trace_sub.add_parser("stat", help="summarise a trace file")
@@ -324,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(combine with `repro trace merge`)"
         ),
     )
-    _add_cache_flag(p)
     p.set_defaults(handler=_cmd_serve)
 
     p = sub.add_parser(
@@ -417,19 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stats)
 
     return parser
-
-
-def _add_cache_flag(p) -> None:
-    p.add_argument(
-        "--no-transition-cache",
-        action="store_true",
-        help=(
-            "disable the memoized shadow-transition cache (and the "
-            "batched replay built on it); the escape hatch for A/B-ing "
-            "the uncached per-event path — reports are byte-identical "
-            "either way"
-        ),
-    )
 
 
 def _shards_arg(value: str):
@@ -695,16 +671,13 @@ def _cmd_trace_help(args) -> int:
 def _cmd_trace_record(args) -> int:
     """Run a case with a :class:`TraceRecorder` riding the standard
     harness run — the §4.5 offline mode's record half."""
-    from repro.api.profiles import profile
     from repro.experiments.harness import run_proxy_case
     from repro.runtime.trace import TraceRecorder
 
     case = _case_by_id(args.case_id)
-    det = profile(args.config).detector()
     with TraceRecorder(args.output) as recorder:
         run = run_proxy_case(
-            case, args.config, seed=args.seed,
-            detector=det, extra_hooks=(recorder,),
+            case, args.config, seed=args.seed, extra_hooks=(recorder,)
         )
     print(
         f"recorded {len(recorder)} events from {case.case_id} under "
@@ -717,7 +690,7 @@ def _cmd_trace_record(args) -> int:
         f"{run.events} events, {run.wall_seconds * 1e3:.0f} ms"
     )
     if args.report_out:
-        det.report.save(args.report_out)
+        run.report.save(args.report_out)
         print(f"live report: wrote {args.report_out}")
     return 0
 
@@ -785,25 +758,29 @@ def _cmd_trace_replay(args) -> int:
     shards = args.shards
     if shards == "auto":
         shards = _auto_shards(args.trace_file)
+    start = time.perf_counter()
     if shards > 1:
         from repro.detectors.parallel import replay_trace_sharded
 
-        start = time.perf_counter()
-        result = replay_trace_sharded(
-            args.trace_file, args.config, shards=shards,
-            transition_cache=False if args.no_transition_cache else None,
-        )
-        wall = time.perf_counter() - start
-        count = result.events
-        report = result.report
-        print(
-            f"replayed {count} events from {args.trace_file} under "
-            f"{args.config} across {shards} shards: "
-            f"{report.location_count} reported locations, "
-            f"{wall * 1e3:.0f} ms ({count / wall:,.0f} events/s)"
-            if wall > 0
-            else f"replayed {count} events: {report.location_count} locations"
-        )
+        result = replay_trace_sharded(args.trace_file, args.config, shards=shards)
+        count, report = result.events, result.report
+    else:
+        from repro.api import Pipeline
+        from repro.runtime.codec import ReplayStats
+
+        result, stats = None, ReplayStats()
+        report = Pipeline(args.config).replay(args.trace_file, stats=stats)
+        count = stats.events
+    wall = time.perf_counter() - start
+    across = f" across {shards} shards" if result is not None else ""
+    print(
+        f"replayed {count} events from {args.trace_file} under "
+        f"{args.config}{across}: {report.location_count} reported locations, "
+        f"{wall * 1e3:.0f} ms ({count / wall:,.0f} events/s)"
+        if wall > 0
+        else f"replayed {count} events: {report.location_count} locations"
+    )
+    if result is not None:
         for outcome in result.shards:
             s = outcome.stats
             print(
@@ -814,23 +791,6 @@ def _cmd_trace_replay(args) -> int:
             )
         if not result.skeleton_consistent:
             print("  warning: shard segment graphs diverged (replay bug?)")
-    else:
-        from repro.api.profiles import profile
-        from repro.runtime.trace import replay_trace
-
-        det = profile(args.config).detector()
-        start = time.perf_counter()
-        count = replay_trace(args.trace_file, det)
-        det.finalize()
-        wall = time.perf_counter() - start
-        report = det.report
-        print(
-            f"replayed {count} events from {args.trace_file} under "
-            f"{args.config}: {report.location_count} reported locations, "
-            f"{wall * 1e3:.0f} ms ({count / wall:,.0f} events/s)"
-            if wall > 0
-            else f"replayed {count} events: {report.location_count} locations"
-        )
     if args.full:
         print()
         print(report.format_full())

@@ -50,7 +50,6 @@ from repro.detectors.lockset import (
     LocksetMachine,
     LocksetOutcome,
     WordState,
-    transition_cache_default,
 )
 from repro.detectors.lockset import (  # the batched pump inlines the machine
     _EXCLUSIVE,
@@ -139,11 +138,10 @@ class HelgrindConfig:
     #: Costs one stack reference per shadow word; off by default.
     access_history: bool = False
     #: Memoized shadow-transition cache + batched block replay
-    #: (docs/PERFORMANCE.md layer 6).  ``None`` = follow the process
-    #: default (the ``--no-transition-cache`` escape hatch);
-    #: ``True``/``False`` force it for this detector.  Reports are
-    #: byte-identical either way — the flag exists to *prove* that.
-    transition_cache: bool | None = None
+    #: (docs/PERFORMANCE.md layer 6).  ``False`` runs the uncached
+    #: per-event path, the reference the equivalence tests compare the
+    #: cached one against; reports are byte-identical either way.
+    transition_cache: bool = True
 
     # -- the paper's three evaluation configurations -------------------
 
@@ -297,16 +295,13 @@ class HelgrindDetector(EventDispatcher):
 
     def __init__(self, config: HelgrindConfig | None = None, *, suppressions=None) -> None:
         self.config = config or HelgrindConfig.original()
-        cache = self.config.transition_cache
-        if cache is None:
-            cache = transition_cache_default()
         self.segments = SegmentGraph()
         self.machine = LocksetMachine(
             self.segments,
             use_states=self.config.use_states,
             segment_transfer=self.config.segment_transfer,
             once_per_word=self.config.once_per_word,
-            transition_cache=cache,
+            transition_cache=self.config.transition_cache,
         )
         self.machine.access_history = self.config.access_history
         self.report = Report(suppressions)

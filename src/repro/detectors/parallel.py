@@ -172,23 +172,14 @@ def _analyze_shard(payload: tuple) -> dict:
     telemetry snapshot, the segment-graph signature, and (optionally)
     the dumped shadow pages.
     """
-    (
-        path, config_name, shard, num_shards, page_bits, collect_shadow,
-        transition_cache,
-    ) = payload
-
-    import dataclasses
+    path, config_name, shard, num_shards, page_bits, collect_shadow = payload
 
     from repro.api.profiles import profile
     from repro.runtime.trace import ReplayVM, build_handler_table
     from repro.telemetry.metrics import MetricsRegistry
 
     data = Path(path).read_bytes()
-    prof = profile(config_name)
-    cfg = prof.config()
-    if transition_cache is not None:
-        cfg = dataclasses.replace(cfg, transition_cache=transition_cache)
-    detector = prof.detector(cfg)
+    detector = profile(config_name).detector()
     if hasattr(detector, "predict_deadlocks"):
         # Deadlock prediction consumes only the replicated sync/lifecycle
         # skeleton, so every shard would predict the identical cycles —
@@ -304,22 +295,18 @@ def replay_trace_sharded(
     max_workers: int | None = None,
     page_bits: int = PAGE_BITS,
     collect_shadow: bool = False,
-    transition_cache: bool | None = None,
 ) -> ShardedReplayResult:
     """Analyse a binary trace across ``shards`` worker processes.
 
     ``config`` is a named analysis profile
     (:mod:`repro.api.profiles` — ``original`` / ``hwlc`` / ``hwlc+dr``
     / ``predictive`` / ...); workers rebuild detector and configuration
-    by name, so nothing unpicklable crosses the process boundary.  ``transition_cache``
-    forces the memoized transition cache on/off in every worker
-    (``None`` follows each worker process's default — forked workers
-    inherit :func:`~repro.detectors.lockset.set_transition_cache_default`,
-    spawned ones reset to on).  ``shards=1`` runs the
-    identical code path in-process (no pool, no filter, no skip set) —
-    handy as the degenerate case the byte-identity gate compares
-    against.  Workers are plain forked processes reassembled in shard
-    order, so the result is deterministic whatever order they finish.
+    by name (the profile's own configuration, transition cache on), so
+    nothing unpicklable crosses the process boundary.  ``shards=1`` runs
+    the identical code path in-process (no pool, no filter, no skip
+    set) — the degenerate case the byte-identity gate compares against.
+    Workers are plain forked processes reassembled in shard order, so
+    the result is deterministic whatever order they finish.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -339,10 +326,7 @@ def replay_trace_sharded(
         )
 
     payloads = [
-        (
-            str(path), config, shard, shards, page_bits, collect_shadow,
-            transition_cache,
-        )
+        (str(path), config, shard, shards, page_bits, collect_shadow)
         for shard in range(shards)
     ]
     if shards == 1:

@@ -5,6 +5,7 @@ is the ``instrumented`` build switch of :class:`repro.sip.server
 .ProxyConfig`, *execution* is a VM run with the chosen detector, and
 *analysis* is the oracle join (:func:`repro.detectors.classify
 .classify_report`) standing in for the authors' manual warning triage.
+The run itself is :meth:`repro.api.Pipeline.run`, the one live driver.
 
 One :func:`run_proxy_case` call produces one cell of the paper's
 Figure 6; :func:`run_figure6` produces the whole table.
@@ -21,14 +22,14 @@ serialise on the GIL.)
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.api.profiles import profile
+from repro.api import Pipeline
 from repro.detectors.classify import ClassifiedReport, classify_report
+from repro.detectors.report import Report
 from repro.oracle import GroundTruth, WarningCategory
-from repro.runtime import VM, RandomScheduler
+from repro.runtime import RandomScheduler
 from repro.sip.bugs import EVALUATION_BUGS
 from repro.sip.server import ProxyConfig, ProxyResult, SipProxy
 from repro.sip.workload import TestCase, evaluation_cases
@@ -50,6 +51,8 @@ class ExperimentRun:
     proxy_result: ProxyResult
     events: int
     wall_seconds: float
+    #: The finalized report ``location_count`` was read from.
+    report: Report | None = None
 
     def fp_count(self, category: WarningCategory) -> int:
         return self.classified.count(category)
@@ -85,7 +88,7 @@ class Figure6Row:
 
 def run_proxy_case(
     case: TestCase,
-    config_name: str,
+    config_name: str | Pipeline,
     *,
     seed: int = 42,
     mode: str = "thread-per-request",
@@ -97,67 +100,47 @@ def run_proxy_case(
 ) -> ExperimentRun:
     """Run one test case under one detector configuration.
 
-    The build is instrumented exactly when the detector configuration
-    honours the annotation (the ``HWLC+DR`` column) — mirroring the
-    paper, where the third run is the one with the annotated build.
-
-    ``telemetry`` (a :class:`repro.telemetry.Telemetry`, or ``None``)
-    is attached to the VM before the run and harvested after it; the
-    run itself is wrapped in a ``case/config`` phase span.  Passing
-    ``None`` (the default) keeps the PR-1 fast path untouched.
-
-    ``extra_hooks`` are additional detector-ABI hooks registered on the
-    VM *ahead of* the detector — most usefully a
-    :class:`~repro.runtime.trace.TraceRecorder`, so ``repro trace
-    record`` captures exactly the event stream the detector saw (the
-    §4.5 offline mode riding an otherwise unchanged evaluation run).
+    ``config_name`` is a profile name or a :class:`~repro.api.Pipeline`
+    (which carries its suppressions).  The build is instrumented
+    exactly when the configuration honours the annotation (the
+    ``HWLC+DR`` column), as in the paper.  ``detector``,
+    ``extra_hooks`` and ``telemetry`` go to :meth:`Pipeline.run
+    <repro.api.Pipeline.run>`, whose phase is ``case/config``.
 
     A case may pin its own bug set (``case.bugs``), which overrides the
     ``bugs`` argument — the predictive T9/T10 cases use this to enable
     *only* their latent fault regardless of the caller's default.
     """
-    prof = profile(config_name)
-    det_config = prof.config()
-    effective_bugs = case.bugs if case.bugs is not None else bugs
+    if not isinstance(config_name, Pipeline):
+        config_name = Pipeline(config_name)
+    pipeline, config_name = config_name, config_name.config_name
     truth = GroundTruth()
     proxy = SipProxy(
         ProxyConfig(
             mode=mode,
-            bugs=effective_bugs,
-            instrumented=det_config.honor_destruct,
+            bugs=case.bugs if case.bugs is not None else bugs,
+            instrumented=pipeline.config.honor_destruct,
         ),
         truth=truth,
     )
-    det = detector if detector is not None else prof.detector(det_config)
-    instrumented = telemetry is not None and telemetry.enabled
-    vm = VM(
-        detectors=(*extra_hooks, det),
+    run = pipeline.run(
+        proxy.main, case.wires,
         scheduler=RandomScheduler(seed),
         step_limit=step_limit,
-        telemetry=telemetry if instrumented else None,
+        extra_hooks=extra_hooks,
+        telemetry=telemetry,
+        label=f"{case.case_id}/{config_name}",
+        detector=detector,
     )
-    start = time.perf_counter()
-    # The end-of-stream pass (the predictive tier's predictions) runs
-    # before the telemetry harvest: predicted warnings and the
-    # repro_predict_* counters land at finalize time.
-    if instrumented:
-        telemetry.attach(vm)
-        with telemetry.phase(f"{case.case_id}/{config_name}"):
-            proxy_result = vm.run(proxy.main, case.wires)
-        det.finalize()
-        telemetry.record_run(vm, label=f"{case.case_id}/{config_name}")
-    else:
-        proxy_result = vm.run(proxy.main, case.wires)
-        det.finalize()
-    wall = time.perf_counter() - start
     return ExperimentRun(
         case_id=case.case_id,
         config_name=config_name,
-        location_count=det.report.location_count,
-        classified=classify_report(det.report, truth),
-        proxy_result=proxy_result,
-        events=vm.stats.total_events,
-        wall_seconds=wall,
+        location_count=run.report.location_count,
+        classified=classify_report(run.report, truth),
+        proxy_result=run.result,
+        events=run.events,
+        wall_seconds=run.wall_seconds,
+        report=run.report,
     )
 
 
@@ -172,8 +155,7 @@ def _figure6_cell(payload: tuple) -> tuple[str, str, ExperimentRun, dict | None]
     a process-local :class:`~repro.telemetry.Telemetry` and ships the
     resulting *snapshot* (plain dicts — picklable) home; the parent
     folds it into its own registry (:meth:`Telemetry.merge_snapshot`).
-    Previously these per-run stats were simply dropped on the floor in
-    parallel mode.  The snapshot rides alongside the run instead of
+    The snapshot rides alongside the run instead of
     inside it, so table assembly — and therefore the rendered report —
     is bit-identical with metrics on or off.
     """

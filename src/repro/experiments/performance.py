@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.api.profiles import profile
+from repro.api import Pipeline
 from repro.runtime import VM, RoundRobinScheduler
 from repro.runtime.trace import TraceRecorder, replay
 
@@ -142,12 +142,6 @@ _TIERS = {
 }
 
 
-def _hooks(tier: str) -> tuple:
-    """A fresh detector for ``tier`` (none for the VM-only tier)."""
-    name = _TIERS[tier]
-    return (profile(name).detector(),) if name is not None else ()
-
-
 def _best_of(runs, repeats: int) -> list[float]:
     """Best-of-``repeats`` seconds of each run, timed round-robin.
 
@@ -166,11 +160,18 @@ def _best_of(runs, repeats: int) -> list[float]:
 def _tier_run(tier: str, n_threads: int, iterations: int, events: dict):
     """One VM run of the workload under ``tier``, for :func:`_best_of`;
     it records its event count in ``events[tier]``."""
+    name = _TIERS[tier]
 
     def run() -> None:
-        vm = VM(scheduler=RoundRobinScheduler(), detectors=_hooks(tier))
-        vm.run(workload_guest, n_threads, iterations)
-        events[tier] = vm.stats.total_events
+        if name is None:
+            vm = VM(scheduler=RoundRobinScheduler())
+            vm.run(workload_guest, n_threads, iterations)
+            events[tier] = vm.stats.total_events
+        else:
+            events[tier] = Pipeline(name).run(
+                workload_guest, n_threads, iterations,
+                scheduler=RoundRobinScheduler(),
+            ).events
 
     return run
 
@@ -265,9 +266,11 @@ def _throughput_breakdown(
     """
     from repro.telemetry import Telemetry
 
+    name = _TIERS[tier]
     telemetry = Telemetry()
     vm = VM(
-        scheduler=RoundRobinScheduler(), detectors=_hooks(tier),
+        scheduler=RoundRobinScheduler(),
+        detectors=() if name is None else (Pipeline(name).detector(),),
         telemetry=telemetry,
     )
     telemetry.attach(vm, time_emit=True)
@@ -298,7 +301,7 @@ def trace_cost(
     vm = VM(detectors=(recorder,))
     vm.run(workload_guest, n_threads, iterations)
     start = time.perf_counter()
-    replay(recorder.events, profile("hwlc+dr").detector())
+    replay(recorder.events, Pipeline("hwlc+dr").detector())
     replay_seconds = time.perf_counter() - start
     return {
         "events": float(len(recorder)),

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.profiles import profile
-from repro.runtime import VM, RandomScheduler, StickyScheduler
+from repro.api import Pipeline
+from repro.runtime import RandomScheduler, StickyScheduler
 
 __all__ = [
     "FalseNegativeStudy",
@@ -104,14 +104,13 @@ def false_negative_study(
     across the sweep, like coarse OS time slicing would.
     """
     study = FalseNegativeStudy()
+    pipeline = Pipeline("hwlc")
     for seed in seeds:
-        det = profile("hwlc").detector()
-        vm = VM(
-            detectors=(det,),
+        run = pipeline.run(
+            _delayed_init_program,
             scheduler=StickyScheduler(seed=seed, switch_prob=sticky_prob),
         )
-        vm.run(_delayed_init_program)
-        if det.report.location_count:
+        if run.report.location_count:
             study.seeds_detected.append(seed)
         else:
             study.seeds_missed.append(seed)
@@ -200,9 +199,7 @@ def ablation_study() -> AblationStudy:
     for wname, workload in workloads.items():
         row = {}
         for cname, name in levels.items():
-            det = profile(name).detector()
-            VM(detectors=(det,)).run(workload)
-            row[cname] = det.report.location_count
+            row[cname] = Pipeline(name).run(workload).report.location_count
         study.counts[wname] = row
     return study
 
@@ -276,10 +273,8 @@ def baseline_study(*, seed: int = 7) -> BaselineStudy:
     """Run the mixed workload under all four detector families."""
 
     def addrs_of(name: str):
-        detector = profile(name).detector()
-        vm = VM(detectors=(detector,), scheduler=RandomScheduler(seed))
-        vm.run(_mixed_discipline_program)
-        return frozenset(w.addr for w in detector.report if w.addr is not None)
+        run = Pipeline(name).run(_mixed_discipline_program, scheduler=RandomScheduler(seed))
+        return frozenset(w.addr for w in run.report if w.addr is not None)
 
     return BaselineStudy(
         lockset_addrs=addrs_of("hwlc"),

@@ -648,10 +648,11 @@ class ReplayStats:
         replay seeking past blocks whose pages belong to other shards.
 
     ``events_skipped`` counts the rows inside skipped blocks (of either
-    kind); they still count toward the replay's returned event total.
+    kind); they still count toward the replay's event total, ``events``.
     """
 
     __slots__ = (
+        "events",
         "blocks_decoded",
         "blocks_skipped_type",
         "blocks_skipped_shard",
@@ -659,6 +660,7 @@ class ReplayStats:
     )
 
     def __init__(self) -> None:
+        self.events = 0
         self.blocks_decoded = 0
         self.blocks_skipped_type = 0
         self.blocks_skipped_shard = 0
@@ -713,12 +715,15 @@ def replay_blocks(
     undecoded — the sharded-replay fast path.  Skipped rows still count
     toward the returned event total, so every shard reports the same
     trace length.  ``stats`` (a :class:`ReplayStats`) receives the
-    block accounting when given; the default path pays nothing for it.
+    total and block accounting when given; the default path pays none.
     """
     _check_magic(data)
     decoder = StreamDecoder()
     decoder.bind(handler_table, vm)
-    return decoder._run(data, len(MAGIC), skip_blocks, stats)
+    events = decoder._run(data, len(MAGIC), skip_blocks, stats)
+    if stats is not None:
+        stats.events = events
+    return events
 
 
 # ----------------------------------------------------------------------

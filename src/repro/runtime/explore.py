@@ -135,8 +135,10 @@ def explore(
 
     ``program`` must be re-runnable (each run gets a fresh VM; shared
     *host* state between runs is the caller's responsibility).
-    ``detector_factories`` build fresh detectors per run; each outcome
-    records the per-detector race-location counts.
+    ``detector_factories`` build fresh detectors per run; after each
+    run, whatever its status, every detector's ``finalize`` runs (the
+    predictive tier predicts there), and then the outcome records the
+    per-detector race-location counts.
 
     Branching is bounded twice: at most ``max_schedules`` runs, and only
     the first ``max_depth`` decision points are ever flipped.
@@ -161,6 +163,9 @@ def explore(
             outcome.status = "steplimit"
         except GuestFault:
             outcome.status = "fault"
+        for detector in detectors:
+            if hasattr(detector, "finalize"):
+                detector.finalize()
         outcome.race_locations = tuple(
             d.report.location_count for d in detectors if hasattr(d, "report")
         )

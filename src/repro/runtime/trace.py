@@ -334,8 +334,8 @@ def replay_trace(
     When ``vm`` is omitted a :class:`ReplayVM` is created and fed the
     trace's allocation events, so report "Address" lines match the
     original run byte-for-byte.  ``stats`` (a
-    :class:`repro.runtime.codec.ReplayStats`) receives block-skip
-    accounting.
+    :class:`repro.runtime.codec.ReplayStats`) receives the event total
+    and block-skip accounting.
     """
     path = Path(path)
     if vm is None:

@@ -93,6 +93,9 @@ from repro.runtime.thread import Baton, SimThread, Spin, ThreadState
 
 __all__ = ["VM", "GuestAPI", "VMStats"]
 
+#: Default :class:`VM` step limit: events emitted before a run aborts.
+STEP_LIMIT = 2_000_000
+
 _BY_TID = attrgetter("tid")
 _READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
@@ -162,7 +165,7 @@ class VM:
         self,
         *,
         scheduler: Scheduler | None = None,
-        step_limit: int = 2_000_000,
+        step_limit: int = STEP_LIMIT,
         detectors: tuple = (),
         telemetry=None,
     ) -> None:

@@ -63,6 +63,11 @@ ROUTES = {
     "/workers": "worker processes (pid, slot, restarts)",
 }
 
+#: Seconds between the serve loop's looks at its shutdown flag, which
+#: bounds how long :meth:`AdminServer.shutdown` waits (the stdlib's
+#: default is half a second).
+_POLL_S = 0.05
+
 
 class AdminServer:
     """HTTP admin listener wrapping a running acceptor."""
@@ -128,6 +133,7 @@ class AdminServer:
             return
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(_POLL_S,),
             name="repro-admin",
             daemon=True,
         )

@@ -241,7 +241,7 @@ def shard_parts(traces):
     inline — ``_analyze_shard`` is the exact function the pool maps)."""
     path, reference = traces[("T2", "hwlc+dr")]
     parts = [
-        _analyze_shard((str(path), "hwlc+dr", shard, 3, PAGE_BITS, False, None))
+        _analyze_shard((str(path), "hwlc+dr", shard, 3, PAGE_BITS, False))
         for shard in range(3)
     ]
     return [Report.from_dict(p["report"]) for p in parts], reference
@@ -307,6 +307,7 @@ def test_skip_counters_split_cleanly():
     # Rows inside skipped blocks of either kind: 4 foreign + 2 lock.
     assert stats.events_skipped == 6
     assert stats.as_dict() == {
+        "events": len(events),
         "blocks_decoded": 2,
         "blocks_skipped_type": 1,
         "blocks_skipped_shard": 2,

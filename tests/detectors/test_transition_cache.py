@@ -13,9 +13,10 @@ Four angles:
   with the memo capacity crushed to force evictions mid-replay;
 * **counters** — memo hits/misses/evictions tally where expected and
   stay zero when disabled;
-* **gates** — the process-wide default, the per-config override, the
-  ``bulk_access_ready`` static gate, and the pickling rule (memo values
-  embed process-local lockset ids, so checkpoints ship it empty).
+* **gates** — the default (on) and the per-config ``False`` reference
+  path, the ``bulk_access_ready`` static gate, and the pickling rule
+  (memo values embed process-local lockset ids, so checkpoints ship it
+  empty).
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ import pytest
 from repro.api.profiles import profile
 from repro.detectors import HelgrindDetector
 from repro.detectors.helgrind import HelgrindConfig
-from repro.detectors.lockset import (
-    LocksetMachine,
-    set_transition_cache_default,
-    transition_cache_default,
-)
+from repro.detectors.lockset import LocksetMachine
 from repro.detectors.segments import SegmentGraph
 from repro.runtime.trace import replay_trace
 
@@ -166,28 +163,17 @@ class TestCounters:
 
 
 class TestGates:
-    def test_process_default_toggle(self):
-        assert transition_cache_default() is True  # ships enabled
-        try:
-            set_transition_cache_default(False)
-            assert transition_cache_default() is False
-            machine = LocksetMachine(SegmentGraph())
-            assert machine._memo is None
-            det = HelgrindDetector(profile("hwlc+dr").config())
-            assert det.machine._memo is None
-            assert not det.bulk_access_ready()
-        finally:
-            set_transition_cache_default(True)
-
     def test_config_override_beats_default(self):
-        try:
-            set_transition_cache_default(False)
-            det = HelgrindDetector(_config("hwlc+dr", cache=True))
-            assert det.machine._memo is not None
-        finally:
-            set_transition_cache_default(True)
+        # Ships enabled: a machine or a profile's config caches unless
+        # told not to.
+        assert LocksetMachine(SegmentGraph())._memo is not None
+        det = HelgrindDetector(profile("hwlc+dr").config())
+        assert det.machine._memo is not None
+        assert det.bulk_access_ready()
+        assert LocksetMachine(SegmentGraph(), transition_cache=False)._memo is None
         det = HelgrindDetector(_config("hwlc+dr", cache=False))
         assert det.machine._memo is None
+        assert not det.bulk_access_ready()
 
     def test_bulk_ready_requires_exact_shape(self):
         # Access history keeps per-access side effects the bulk loop

@@ -138,6 +138,27 @@ class TestExploration:
         assert (1980, 37) in result.distinct_results()  # the torn record
         assert (1980, 27) in result.distinct_results()  # and the clean one
 
+    def test_predictive_tier_reports_under_every_schedule(self):
+        """Each run's detectors are finalized, so the predictive tier's
+        post-pass predicts the §4.3 race wherever the live lock-set
+        analysis forgot it; ``hwlc`` alone stays schedule-dependent."""
+        from repro.api.profiles import profile
+        from repro.experiments.studies import _delayed_init_program
+
+        def sweep(name):
+            return explore(
+                _delayed_init_program,
+                detector_factories=(lambda: profile(name).detector(),),
+                max_schedules=64,
+            )
+
+        predictive = sweep("predictive")
+        assert predictive.schedules_run == 64
+        assert predictive.races_found == predictive.schedules_run
+        hwlc = sweep("hwlc")
+        assert hwlc.schedules_run == 64
+        assert 0 < hwlc.races_found < hwlc.schedules_run
+
     def test_budget_bounding(self):
         result = explore(tiny_race, max_schedules=3)
         assert result.schedules_run == 3

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import signal
+import time
 import urllib.error
 import urllib.request
 
@@ -152,6 +153,18 @@ class TestAdminSingleProcess:
         finally:
             admin.shutdown()
             server.shutdown(drain=True, timeout=30.0)
+
+
+class TestAdminShutdown:
+    def test_shutdown_returns_promptly(self):
+        """The serve loop looks at its stop flag often, so a shutdown
+        does not wait out the stdlib's half-second poll."""
+        admin = AdminServer(None, port=0)
+        admin.start()
+        time.sleep(0.05)
+        start = time.perf_counter()
+        admin.shutdown()
+        assert time.perf_counter() - start < 0.25
 
 
 class TestAdminSharded:

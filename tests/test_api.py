@@ -62,6 +62,20 @@ def _offline_text(path, config: str) -> str:
     return json.dumps(det.report.to_dict(), indent=2)
 
 
+def _tiny_race(api):
+    """Two unlocked increments of one word; returns its final value."""
+    addr = api.malloc(1)
+    api.store(addr, 0)
+
+    def bump(a):
+        a.store(addr, a.load(addr) + 1)
+
+    threads = [api.spawn(bump), api.spawn(bump)]
+    for t in threads:
+        api.join(t)
+    return api.load(addr)
+
+
 class TestProfiles:
     def test_known_names(self):
         assert profile_names() == ALL_PROFILES
@@ -185,6 +199,82 @@ class TestPipeline:
         assert json.dumps(report.to_dict(), indent=2) == _offline_text(
             path, "hwlc+dr"
         )
+
+    def test_extra_hooks_see_every_event_before_the_detector(self, tmp_path):
+        """A recorder ahead of the detector records a trace that
+        replays to the live report, byte for byte."""
+        from repro.experiments.studies import _mixed_discipline_program
+        from repro.runtime import RandomScheduler
+        from repro.runtime.trace import TraceRecorder
+
+        path = tmp_path / "mixed.rptr"
+        with TraceRecorder(path) as recorder:
+            run = Pipeline("hwlc").run(
+                _mixed_discipline_program,
+                scheduler=RandomScheduler(7),
+                extra_hooks=(recorder,),
+            )
+        assert run.report.location_count > 0
+        assert run.events == len(recorder)
+        assert Pipeline("hwlc").replay(path).render() == run.report.render()
+
+    def test_handed_in_detector_is_the_one_driven(self, monkeypatch):
+        """With ``detector=`` the pipeline drives and finalizes that
+        detector and builds none of its own."""
+        from repro.api import _case_by_id
+        from repro.experiments.harness import run_proxy_case
+
+        class Probe(HelgrindDetector):
+            finalized = 0
+
+            def finalize(self):
+                self.finalized += 1
+                super().finalize()
+
+        def no_build(self):
+            raise AssertionError("a second detector was built")
+
+        probe = Probe(profile("hwlc+dr").config())
+        monkeypatch.setattr(Pipeline, "detector", no_build)
+        run = Pipeline("hwlc+dr").run(_tiny_race, detector=probe)
+        assert run.report is probe.report
+        assert probe.finalized == 1
+        assert run.report.location_count > 0
+
+        probe = Probe(profile("hwlc+dr").config())
+        case_run = run_proxy_case(_case_by_id("T1"), "hwlc+dr", detector=probe)
+        assert case_run.report is probe.report
+        assert probe.finalized == 1
+
+    def test_finalize_runs_before_the_telemetry_harvest(self):
+        """T9's prediction is in the report and its counter in the
+        snapshot: the end-of-stream pass precedes the harvest."""
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        run = Pipeline("predictive").run_case("T9", seed=42, telemetry=telemetry)
+        assert run.location_count == 2
+        assert len(run.report.predicted_findings()) == 1
+        family = telemetry.snapshot()["metrics"]["repro_predict_predictions_total"]
+        assert sum(s["value"] for s in family["samples"]) == 1
+
+    def test_run_accepts_ready_config(self):
+        from repro.experiments.studies import _mixed_discipline_program
+        from repro.runtime import RandomScheduler
+
+        custom = Pipeline(HelgrindConfig.hwlc()).run(
+            _mixed_discipline_program, scheduler=RandomScheduler(7)
+        )
+        named = Pipeline("hwlc").run(
+            _mixed_discipline_program, scheduler=RandomScheduler(7)
+        )
+        assert custom.events == named.events > 0
+        assert custom.report.render() == named.report.render()
+
+    def test_run_returns_the_guest_result(self):
+        run = Pipeline("hwlc+dr").run(_tiny_race)
+        assert run.result == 2  # round-robin: the two increments serialise
+        assert run.events > 0 and run.wall_seconds >= 0
 
     def test_run_case_requires_named_config(self):
         with pytest.raises(ValueError):

@@ -274,32 +274,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["trace", "replay", "x.rptr", "--shards", "many"])
 
-    def test_trace_replay_no_transition_cache(self, tmp_path, capsys):
-        """The escape hatch replays per-event (no memo, no batching) and
-        still reproduces the live report byte for byte."""
-        from repro.detectors.lockset import transition_cache_default
-
-        trace = tmp_path / "t1.rptr"
-        live = tmp_path / "live.json"
-        assert main([
-            "trace", "record", "T1", "hwlc+dr",
-            "-o", str(trace), "--report-out", str(live),
-        ]) == 0
-
-        replayed = tmp_path / "uncached.json"
-        try:
-            assert main([
-                "trace", "replay", str(trace), "hwlc+dr",
-                "--no-transition-cache", "--report-out", str(replayed),
-            ]) == 0
-        finally:
-            # main() flips the process-wide default; undo for the suite.
-            from repro.detectors.lockset import set_transition_cache_default
-
-            set_transition_cache_default(True)
-        assert replayed.read_bytes() == live.read_bytes()
-        assert transition_cache_default() is True
-
     @pytest.mark.slow
     def test_report_regenerates_everything(self, capsys):
         assert main(["report"]) == 0
