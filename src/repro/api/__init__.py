@@ -84,10 +84,15 @@ class Pipeline:
     """An analysis profile plus factories for everything built on it.
 
     ``config`` is a profile *name* (validated against
-    :mod:`repro.api.profiles`) or a ready :class:`HelgrindConfig`.  The
-    pipeline itself is stateless and reusable — each :meth:`detector`,
-    :meth:`session`, :meth:`run`, :meth:`run_case` or :meth:`replay`
-    call builds fresh analysis state.
+    :mod:`repro.api.profiles`) or a ready :class:`HelgrindConfig`.  A
+    hand-made config keeps its tier: when its ``name`` is a registered
+    profile, detectors are built by that profile's detector factory
+    around the given config (so
+    ``Pipeline(profile("djit").config().with_(transition_cache=False))``
+    still builds a ``DjitDetector``); any other name builds a
+    :class:`HelgrindDetector`.  The pipeline itself is stateless and
+    reusable — each :meth:`detector`, :meth:`session`, :meth:`run`,
+    :meth:`run_case` or :meth:`replay` call builds fresh analysis state.
     """
 
     def __init__(
@@ -101,7 +106,10 @@ class Pipeline:
             self.config_name: str | None = config
             self.config = self.profile.config()
         else:
-            self.profile = None
+            self.profile = (
+                profiles.profile(config.name)
+                if config.name in profiles.profile_names() else None
+            )
             self.config_name = None
             self.config = config
         self.suppressions = suppressions
@@ -110,7 +118,7 @@ class Pipeline:
         name = self.config_name or "<custom config>"
         return f"Pipeline({name!r})"
 
-    def detector(self) -> HelgrindDetector:
+    def detector(self):
         """A fresh detector wired for this profile/configuration."""
         if self.profile is not None:
             return self.profile.detector(

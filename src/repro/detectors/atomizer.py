@@ -159,9 +159,7 @@ class AtomizerDetector(EventDispatcher):
         if word.state in (WordState.NEW, WordState.EXCLUSIVE):
             return True  # thread-local (so far): both-mover
         held = self._oracle._held_for(event.tid)
-        any_id, write_id = self._oracle._effective_ids(
-            held, event.is_write, event.bus_locked
-        )
+        any_id, write_id = held.ids[event.is_write][event.bus_locked]
         effective = LOCKSETS.members(write_id if event.is_write else any_id)
         current = word.lockset if word.lockset is not None else effective
         return bool(current & effective)

@@ -40,6 +40,7 @@ not generally sound to treat as ordering.)
 from __future__ import annotations
 
 import enum
+import struct
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -192,34 +193,39 @@ class HelgrindConfig:
 
 
 class _HeldLocks:
-    """Per-thread lock holdings with precomputed effective set variants.
+    """Per-thread lock holdings and the effective lock-set ids of every
+    access shape.
 
-    The canonical representation is four interned
-    :data:`~repro.detectors.lockset.LOCKSETS` ids (``*_id``) that the
-    hot path hands straight to the state machine — comparing and
-    intersecting small ints instead of sets (Eraser's own optimisation).
-    Lock acquire/release walks the ids forward through the table's
-    memoized :meth:`~repro.detectors.lockset.LocksetTable.with_lock` /
+    The canonical representation is two interned
+    :data:`~repro.detectors.lockset.LOCKSETS` ids, ``any_id`` and
+    ``write_id``, that the hot path hands straight to the state machine —
+    comparing and intersecting small ints instead of sets (Eraser's own
+    optimisation).  Lock acquire/release walks the ids forward through
+    the table's memoized
+    :meth:`~repro.detectors.lockset.LocksetTable.with_lock` /
     ``without_lock`` operations (steady state: a few dict hits, no set
     is ever built), so the per *memory access* path (hot) is
     allocation-free and the per *lock* path (rare) nearly so.
+
+    ``ids[is_write][bus_locked]`` is the ``(any_id, write_id)`` pair one
+    access of that shape holds once the virtual bus lock is injected —
+    the HWLC rule as a table (see :meth:`_rebuild`).  It changes only
+    when the holdings do, so it is rebuilt at acquire and release and
+    every access reads it with two subscripts.  It is derived state
+    over process-local ids: pickling leaves it out, and the owning
+    detector rebuilds it on restore (:meth:`bind`), because only the
+    detector knows the bus-lock model.
     """
 
-    __slots__ = (
-        "modes",
-        "any_id",
-        "write_id",
-        "any_bus_id",
-        "write_bus_id",
-    )
+    __slots__ = ("modes", "any_id", "write_id", "rwlock_bus", "ids")
 
-    def __init__(self) -> None:
+    def __init__(self, rwlock_bus: bool) -> None:
         self.modes: dict[int, LockMode] = {}
         self.any_id = EMPTY_ID
         self.write_id = EMPTY_ID
+        self.rwlock_bus = rwlock_bus
         bus_only = LOCKSETS.with_lock(EMPTY_ID, BUS_LOCK_ID)
-        self.any_bus_id = bus_only
-        self.write_bus_id = bus_only
+        self._rebuild(bus_only, bus_only)
 
     def acquire(self, lock_id: int, mode: LockMode) -> None:
         prev = self.modes.get(lock_id)
@@ -231,16 +237,38 @@ class _HeldLocks:
         elif prev is not None:
             # Re-acquired in a weaker mode: drop any write-set membership.
             self.write_id = table.without_lock(self.write_id, lock_id)
-        self.any_bus_id = table.with_lock(self.any_id, BUS_LOCK_ID)
-        self.write_bus_id = table.with_lock(self.write_id, BUS_LOCK_ID)
+        self._rebuild()
 
     def release(self, lock_id: int) -> None:
         self.modes.pop(lock_id, None)
         table = LOCKSETS
         self.any_id = table.without_lock(self.any_id, lock_id)
         self.write_id = table.without_lock(self.write_id, lock_id)
-        self.any_bus_id = table.with_lock(self.any_id, BUS_LOCK_ID)
-        self.write_bus_id = table.with_lock(self.write_id, BUS_LOCK_ID)
+        self._rebuild()
+
+    def bind(self, rwlock_bus: bool) -> None:
+        """Set the bus-lock model and rebuild :attr:`ids` (restore)."""
+        self.rwlock_bus = rwlock_bus
+        self._rebuild()
+
+    def _rebuild(self, any_bus: int | None = None, write_bus: int | None = None) -> None:
+        """Inject the virtual bus lock into every access shape.
+
+        A ``LOCK``-prefixed access holds the bus lock in write mode
+        under both models.  Under the paper's RWLOCK correction every
+        plain read also holds it in read mode; under the original MUTEX
+        model plain accesses never hold it, and a plain write holds it
+        under neither.  A caller that already has the bus-locked ids
+        passes them in, which spares two table lookups.
+        """
+        any_id = self.any_id
+        write_id = self.write_id
+        if any_bus is None:
+            any_bus = LOCKSETS.with_lock(any_id, BUS_LOCK_ID)
+            write_bus = LOCKSETS.with_lock(write_id, BUS_LOCK_ID)
+        locked = (any_bus, write_bus)
+        read = (any_bus, write_id) if self.rwlock_bus else (any_id, write_id)
+        self.ids = ((read, locked), ((any_id, write_id), locked))
 
     def __getstate__(self) -> dict:
         """The ``*_id`` fields index the process-global
@@ -257,8 +285,6 @@ class _HeldLocks:
         self.modes = state["modes"]
         self.any_id = LOCKSETS.id_of(state["any"])
         self.write_id = LOCKSETS.id_of(state["write"])
-        self.any_bus_id = LOCKSETS.with_lock(self.any_id, BUS_LOCK_ID)
-        self.write_bus_id = LOCKSETS.with_lock(self.write_id, BUS_LOCK_ID)
 
     @property
     def any_(self) -> frozenset[int]:
@@ -272,6 +298,23 @@ class _BulkEvent:
     hands it to ``_report_race``, which reads exactly these fields)."""
 
     __slots__ = ("step", "tid", "stack", "addr", "is_write")
+
+
+#: Row struct the pump iterates, per codec row struct: the same bytes
+#: with the step and ``block_id`` columns read as pad bytes, so a row
+#: unpacks straight into ``tid, stack, addr, kind, bus``.
+_PUMP_ROWS: dict[struct.Struct, struct.Struct] = {}
+
+
+def _pump_rows(s: struct.Struct, has_step: bool) -> struct.Struct:
+    rows = _PUMP_ROWS.get(s)
+    if rows is None:
+        # "<" [step "I"] "iI" addr "BB" block_id "i"
+        body = s.format[2:-1] if has_step else s.format[1:-1]
+        rows = struct.Struct("<" + "4x" * has_step + body + "4x")
+        assert rows.size == s.size, (s.format, rows.format)
+        _PUMP_ROWS[s] = rows
+    return rows
 
 
 class HelgrindDetector(EventDispatcher):
@@ -320,6 +363,14 @@ class HelgrindDetector(EventDispatcher):
         self._elided = 0
         #: HWLC: plain reads hold the bus lock in read mode (§3.1).
         self._rwlock_bus = self.config.bus_lock_model is BusLockModel.RWLOCK
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled detector (a session snapshot).  Each
+        thread's id table is rebuilt here: it holds this process's
+        lock-set ids, and snapshots carry only the member sets."""
+        self.__dict__.update(state)
+        for held in self._held.values():
+            held.bind(self._rwlock_bus)
 
     # ------------------------------------------------------------------
     # VM hook (dispatch-table ABI; BarrierWait intentionally has no
@@ -412,8 +463,9 @@ class HelgrindDetector(EventDispatcher):
 
     @handles(MemoryAccess)
     def _on_access(self, event: MemoryAccess, vm) -> None:
-        """Per-event access path: inject the bus lock
-        (:meth:`_effective_ids`), then run the machine's Figure 1 rule."""
+        """Per-event access path: read the thread's effective ids for
+        this access shape (:attr:`_HeldLocks.ids`), then run the
+        machine's Figure 1 rule."""
         benign = self._benign
         if benign._starts and event.addr in benign:
             return
@@ -421,7 +473,7 @@ class HelgrindDetector(EventDispatcher):
         tid = event.tid
         held = self._held.get(tid) or self._held_for(tid)
         is_write = event.kind is AccessKind.WRITE
-        any_id, write_id = self._effective_ids(held, is_write, event.bus_locked)
+        any_id, write_id = held.ids[is_write][event.bus_locked]
         machine = self.machine
         outcome = machine.access_check(event.addr, tid, is_write, any_id, write_id)
         if outcome is not None:
@@ -463,145 +515,140 @@ class HelgrindDetector(EventDispatcher):
         loop — when dynamic state forbids batching (benign ranges
         registered, transition tracking enabled mid-run).
 
-        The loop binds every table to a local and handles the steady
-        states inline: run-length elision of identical adjacent rows,
-        EXCLUSIVE hits by the current owner, RACY words, and memoized
-        SHARED/SHARED_MOD transitions.  Everything else (NEW, ownership
-        transfer, memo misses) takes the machine's normal
-        ``access_check``, so the state evolution is exactly the
-        sequential one.  Within one block there are no lock, segment or
-        client-request events (blocks are single-type), so per-thread
-        held-set ids and owner tokens are loop constants, cached per
-        ``tid`` (held-set ids indexed further by kind and bus).
+        Each row is first checked, then decided by the shadow word it
+        touches:
+
+        * **checked** — a stack id outside ``stacks``, or a kind or bus
+          byte above 1, raises ``IndexError``, and the dispatch step
+          names the corrupt row, as every other reader does;
+        * **elided** — a row equal to the previous one (same thread,
+          address, kind and bus) after a race-free access is a proven
+          state no-op;
+        * **owned** — a word EXCLUSIVE to the thread's current segment
+          is finished after one page probe and one compare of the
+          packed word against the thread's owner token;
+        * **SHARED / SHARED-MODIFIED** — one probe of the transition
+          memo, keyed by the thread's lock-set id for the access shape;
+        * **RACY** — finished on its state code;
+        * everything else (NEW, ownership transfer, memo misses) takes
+          the machine's normal ``access_check``, so the state evolution
+          is exactly the sequential one.  Only these rows and the memo
+          probe read the thread's lock-set ids.
+
+        Within one block there are no lock, segment or client-request
+        events (blocks are single-type), so a thread's owner token and
+        id table (:attr:`_HeldLocks.ids`) are constants of the block;
+        the loop keeps the last thread's, and the last page.  A racing
+        row at an already decided location is one ``Report.repeat``
+        call; only a new location builds its outcome and warning.
         """
         machine = self.machine
         memo = machine._memo
-        if memo is None or machine.transition_counts is not None or self._benign:
+        if memo is None or machine.transition_counts is not None \
+                or self._benign._starts:
             return False
         pages = machine._pages
-        seg_ids = machine._seg_ids
-        segments = machine.segments
-        segment_transfer = machine.segment_transfer
+        seg_ids = machine._seg_ids if machine.segment_transfer else None
+        held = self._held
         access_check = machine.access_check
-        report_race = self._report_race
-        # tid -> [kind][bus] -> (any_id, write_id), filled lazily.
-        ids_cache: dict[int, list[list[tuple[int, int] | None]]] = {}
-        owner_cache: dict[int, int] = {}
-        if base is None:
-            ti, si, ai, ki, bi = 1, 2, 3, 4, 5
-        else:
-            ti, si, ai, ki, bi = 0, 1, 2, 3, 4
-        # Run-length elision state: the previous row's key fields, armed
-        # only while the previous outcome was "no race, no side effect".
-        p_tid = p_addr = p_kind = p_bus = -1
-        armed = False
+        repeat = self.report.repeat
+        n_stacks = len(stacks)
+        # The previous row, for run-length elision (``p_addr`` is None
+        # while disarmed); the last thread's owner token and id table;
+        # the last materialised page.
+        p_tid = p_addr = p_kind = p_bus = None
+        last_tid = token = ids = None
+        last_pi = page = None
         elided = 0
         hits = 0
         i = -1
-        for row in s.iter_unpack(block):
+        for tid, stack, addr, kind, bus in _pump_rows(s, base is None).iter_unpack(block):
             i += 1
-            tid = row[ti]
-            addr = row[ai]
-            kind = row[ki]
-            bus = row[bi]
-            if armed and addr == p_addr and tid == p_tid \
-                    and kind == p_kind and bus == p_bus:
+            if stack >= n_stacks:
+                raise IndexError(f"row {i} names an undefined stack")
+            if addr == p_addr and tid == p_tid and kind == p_kind \
+                    and bus == p_bus:
                 elided += 1
                 continue
-            pairs = ids_cache.get(tid)
-            if pairs is None:
-                pairs = ids_cache[tid] = [[None, None], [None, None]]
-            # Indexed by the raw bytes: a kind or bus above 1 raises
-            # IndexError, and the dispatch step names the corrupt row.
-            pair = pairs[kind][bus]
-            if pair is None:
-                pair = self._effective_ids(self._held_for(tid), kind == 1, bus)
-                pairs[kind][bus] = pair
-            outcome = None
-            page = pages.get(addr >> _PAGE_BITS)
+            if kind > 1 or bus > 1:
+                raise IndexError(f"row {i} has a kind or bus byte above 1")
+            if tid != last_tid:
+                last_tid = tid
+                ids = (held.get(tid) or self._held_for(tid)).ids
+                owner = tid if seg_ids is None else seg_ids.get(tid)
+                # A thread the segment graph has not started owns no
+                # word yet: no token, and access_check starts it.
+                token = None if owner is None else (
+                    _EXCLUSIVE | ((owner + 1) << _OWNER_SHIFT)
+                )
+            pi = addr >> _PAGE_BITS
+            if pi != last_pi:
+                page = pages.get(pi)
+                last_pi = None if page is None else pi
             if page is None:
                 # Pristine page: let the machine materialise it.
-                outcome = access_check(addr, tid, kind == 1, pair[0], pair[1])
+                any_id, write_id = ids[kind][bus]
+                outcome = access_check(addr, tid, kind == 1, any_id, write_id)
             else:
-                slot = addr & _PAGE_MASK
-                packed = page[slot]
+                packed = page[addr & _PAGE_MASK]
+                if packed == token:
+                    p_tid = tid
+                    p_addr = addr
+                    p_kind = kind
+                    p_bus = bus
+                    continue
+                outcome = None
                 code = packed & _ST_MASK
-                if code == _EXCLUSIVE:
-                    owner = owner_cache.get(tid)
-                    if owner is None:
-                        if segment_transfer:
-                            owner = seg_ids.get(tid)
-                            if owner is None:
-                                owner = segments.current(tid).seg_id
-                        else:
-                            owner = tid
-                        owner_cache[tid] = owner
-                    if (packed >> _OWNER_SHIFT) - 1 != owner:
-                        outcome = access_check(
-                            addr, tid, kind == 1, pair[0], pair[1]
-                        )
-                elif code == _SHARED_MOD or code == _SHARED:
-                    held_id = pair[1] if kind else pair[0]
+                if code == _SHARED_MOD or code == _SHARED:
+                    # The held id is any_id for a read, write_id for a
+                    # write: index the (any_id, write_id) pair by kind.
                     low = packed & _LOW
                     value = memo.get(
-                        (((low << 1) | (kind == 1)) << _LS_BITS) | held_id
+                        (((low << 1) | kind) << _LS_BITS) | ids[kind][bus][kind]
                     )
-                    if value is not None:
+                    if value is None:
+                        any_id, write_id = ids[kind][bus]
+                        outcome = access_check(
+                            addr, tid, kind == 1, any_id, write_id
+                        )
+                    else:
                         hits += 1
                         new_low = value >> 1
                         if new_low != low:
-                            page[slot] = (packed & _KEEP_OWNER) | new_low
+                            page[addr & _PAGE_MASK] = (packed & _KEEP_OWNER) | new_low
                         if value & 1:
-                            outcome = LocksetOutcome(
-                                True,
-                                _STATE_OF_CODE[code],
-                                ((low >> _LS_SHIFT) & _LS_MASK) - 1,
-                                ((new_low >> _LS_SHIFT) & _LS_MASK) - 1,
-                            )
-                    else:
-                        outcome = access_check(
-                            addr, tid, kind == 1, pair[0], pair[1]
-                        )
-                elif code != _RACY:  # NEW on a materialised page
-                    outcome = access_check(
-                        addr, tid, kind == 1, pair[0], pair[1]
-                    )
+                            outcome = True  # a memoized race, described below
+                elif code != _RACY:
+                    # NEW, or EXCLUSIVE to another segment.
+                    any_id, write_id = ids[kind][bus]
+                    outcome = access_check(addr, tid, kind == 1, any_id, write_id)
             if outcome is None:
                 p_tid = tid
                 p_addr = addr
                 p_kind = kind
                 p_bus = bus
-                armed = True
                 continue
-            armed = False
+            p_addr = None
+            if repeat(WarningKind.DATA_RACE, stacks[stack], addr):
+                continue
+            if outcome is True:
+                outcome = LocksetOutcome(
+                    True,
+                    _STATE_OF_CODE[code],
+                    ((low >> _LS_SHIFT) & _LS_MASK) - 1,
+                    ((new_low >> _LS_SHIFT) & _LS_MASK) - 1,
+                )
             ev = _BulkEvent()
-            ev.step = row[0] if base is None else base + i
+            ev.step = s.unpack_from(block, i * s.size)[0] if base is None else base + i
             ev.tid = tid
-            ev.stack = stacks[row[si]]
+            ev.stack = stacks[stack]
             ev.addr = addr
             ev.is_write = kind == 1
-            report_race(ev, outcome, vm)
+            self._report_race(ev, outcome, vm)
         self._access_checks += i + 1
         self._elided += elided
         machine._memo_hits += hits
         return True
-
-    def _effective_ids(
-        self, held: _HeldLocks, is_write: bool, bus_locked: bool
-    ) -> tuple[int, int]:
-        """Inject the virtual bus lock: ``(any_id, write_id)`` for one access.
-
-        The HWLC rule in one place.  A ``LOCK``-prefixed access holds the
-        bus lock in write mode under both models.  Under the paper's
-        RWLOCK correction every plain read also holds it in read mode;
-        under the original MUTEX model plain accesses never hold it, and
-        a plain write holds it under neither.
-        """
-        if bus_locked:
-            return held.any_bus_id, held.write_bus_id
-        if is_write or not self._rwlock_bus:
-            return held.any_id, held.write_id
-        return held.any_bus_id, held.write_id
 
     def _report_race(self, event: MemoryAccess, outcome, vm) -> None:
         """Report one dynamic race; a repeat of a decided location is
@@ -668,7 +715,7 @@ class HelgrindDetector(EventDispatcher):
     def _held_for(self, tid: int) -> _HeldLocks:
         held = self._held.get(tid)
         if held is None:
-            held = _HeldLocks()
+            held = _HeldLocks(self._rwlock_bus)
             self._held[tid] = held
         return held
 

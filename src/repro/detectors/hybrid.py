@@ -107,9 +107,7 @@ class HybridDetector(EventDispatcher):
         #    the outcome rather than the detector's report).  Interned
         #    lock-set ids keep this as cheap as the plain detector.
         held = self._lockset._held_for(event.tid)
-        locks_any, locks_write = self._lockset._effective_ids(
-            held, event.is_write, event.bus_locked
-        )
+        locks_any, locks_write = held.ids[event.is_write][event.bus_locked]
         outcome = self._lockset.machine.access(
             event.addr,
             event.tid,

@@ -4,9 +4,10 @@
 machine two ways: the per-event ``_on_access`` handler, and
 ``bulk_access``, which replay hands whole ``MemoryAccess`` blocks and
 which inlines the memo probe, the EXCLUSIVE-same-owner fast path and
-a run-length elision of identical adjacent rows.  Both inject the
-virtual bus lock through ``_effective_ids``, whose table has eight
-cells: LOCK prefix on/off × read/write × MUTEX/RWLOCK model.
+a run-length elision of identical adjacent rows.  Both read the
+virtual bus lock from each thread's ``_HeldLocks.ids`` table, indexed
+``[is_write][bus_locked]``; with the MUTEX/RWLOCK model that makes
+eight cells: LOCK prefix on/off × read/write × model.
 
 Hypothesis generates event streams over four threads and a few words
 on two shadow pages — runs of reads and writes with and without the

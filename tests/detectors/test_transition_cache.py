@@ -136,16 +136,36 @@ class TestReplayByteIdentity:
 # ----------------------------------------------------------------------
 
 
+#: ``(access_checks, rows elided, memo hits, memo misses)`` of a cached
+#: replay of each recorded trace at seed 42.  They feed
+#: ``detectors.elided_ratio`` and ``detectors.memo_hit_ratio``, so a
+#: faster pump must reproduce them exactly, not just keep them positive.
+COUNTERS = {
+    ("T1", "original"): (3248, 34, 1842, 19),
+    ("T1", "hwlc"): (3248, 34, 1844, 17),
+    ("T1", "hwlc+dr"): (3239, 46, 1765, 17),
+    ("T2", "original"): (2372, 34, 1216, 15),
+    ("T2", "hwlc"): (2372, 34, 1217, 14),
+    ("T2", "hwlc+dr"): (2363, 48, 1129, 14),
+    ("T3", "original"): (1442, 19, 697, 19),
+    ("T3", "hwlc"): (1442, 19, 699, 17),
+    ("T3", "hwlc+dr"): (1442, 28, 666, 17),
+}
+
+
 class TestCounters:
     def test_memo_counters_tally(self, traces):
-        path, _ = traces[("T1", "hwlc+dr")]
-        det = HelgrindDetector(_config("hwlc+dr", cache=True))
-        replay_trace(path, det)
-        stats = det.machine.transition_cache_stats()
-        assert stats["hits"] > 0
-        assert stats["misses"] > 0
-        assert stats["size"] == len(det.machine._memo)
-        assert stats["evictions"] == 0  # default cap is far above T1
+        tallies = {}
+        for key in COUNTERS:
+            det = HelgrindDetector(_config(key[1], cache=True))
+            replay_trace(traces[key][0], det)
+            stats = det.machine.transition_cache_stats()
+            tallies[key] = (
+                det.access_checks, det._elided, stats["hits"], stats["misses"]
+            )
+            assert stats["size"] == len(det.machine._memo)
+            assert stats["evictions"] == 0  # default cap is far above T1–T3
+        assert tallies == COUNTERS
 
     def test_disabled_machine_reports_zeros(self, traces):
         path, _ = traces[("T1", "hwlc+dr")]

@@ -200,6 +200,16 @@ BAD_ROWS = {
         _one_block(MemoryAccess, (0, 0, 64, 0, 0, -1), (0, 0, 64, 0, 2, -1)),
         "row 1 of a MemoryAccess block",
     ),
+    # The second row writes the word the first made the thread's own.
+    "access-undefined-stack": (
+        _one_block(MemoryAccess, (0, 0, 64, 0, 0, -1), (0, 99, 64, 1, 0, -1)),
+        "row 1 of a MemoryAccess block",
+    ),
+    # The second row repeats the first, so the bulk pump would elide it.
+    "repeat-undefined-stack": (
+        _one_block(MemoryAccess, (0, 0, 64, 0, 0, -1), (0, 99, 64, 0, 0, -1)),
+        "row 1 of a MemoryAccess block",
+    ),
 }
 
 #: Every reader that decodes rows (the block views hand rows out raw).
@@ -217,7 +227,10 @@ def test_corrupt_row_is_a_typed_error(reader, row):
         READERS[reader](data)
 
 
-@pytest.mark.parametrize("row", ["undefined-stack", "mode-7", "kind-2", "bus-2"])
+@pytest.mark.parametrize("row", [
+    "undefined-stack", "mode-7", "kind-2", "bus-2",
+    "access-undefined-stack", "repeat-undefined-stack",
+])
 def test_corrupt_row_fails_a_session(row):
     data, message = BAD_ROWS[row]
     with pytest.raises(ValueError, match=f"corrupt trace: {message}"):

@@ -31,6 +31,8 @@ from repro.api.profiles import (
     profiles,
 )
 from repro.detectors import HelgrindConfig, HelgrindDetector
+from repro.runtime import codec
+from repro.runtime.events import LockAcquire, LockRelease
 from repro.runtime.trace import replay_trace
 
 ALL_PROFILES = (
@@ -55,11 +57,58 @@ def t1_trace(tmp_path_factory):
     return path, det.report.to_dict()
 
 
+def _atomic_updates(api):
+    """Two workers each update two shared words three times, under one
+    mutex, inside declared atomic regions: reducible, so the atomizer
+    reports nothing unless its oracle's lock-set ids go wrong."""
+    words = api.malloc(2)
+    api.store(words, 0)
+    api.store(words + 1, 0)
+    m = api.mutex()
+
+    def worker(a):
+        for _ in range(3):
+            with a.atomic_region("update"):
+                a.lock(m)
+                a.store(words, a.load(words) + 1)
+                a.store(words + 1, a.load(words + 1) + 1)
+                a.unlock(m)
+
+    threads = [api.spawn(worker), api.spawn(worker)]
+    for t in threads:
+        api.join(t)
+
+
+@pytest.fixture(scope="module")
+def atomic_trace(tmp_path_factory):
+    """:func:`_atomic_updates` recorded once: (path, live report dict)."""
+    from repro.runtime.trace import TraceRecorder
+
+    path = tmp_path_factory.mktemp("api") / "atomic.rptr"
+    with TraceRecorder(path, format="binary") as recorder:
+        live = Pipeline("atomizer").run(_atomic_updates, extra_hooks=(recorder,))
+    return path, live.report.to_dict()
+
+
 def _offline_text(path, config: str) -> str:
     det = profile(config).detector()
     replay_trace(path, det)
     det.finalize()
     return json.dumps(det.report.to_dict(), indent=2)
+
+
+def _counts_holding_a_lock(data: bytes) -> set[int]:
+    """Event counts after which some thread of the trace holds a lock."""
+    held: dict[int, set[int]] = {}
+    counts = set()
+    for count, event in enumerate(codec.events_from_bytes(data), 1):
+        if type(event) is LockAcquire:
+            held.setdefault(event.tid, set()).add(event.lock_id)
+        elif type(event) is LockRelease:
+            held.get(event.tid, set()).discard(event.lock_id)
+        if any(held.values()):
+            counts.add(count)
+    return counts
 
 
 def _tiny_race(api):
@@ -188,6 +237,20 @@ class TestPipeline:
         pipeline = Pipeline(HelgrindConfig.hwlc_dr())
         assert pipeline.config_name is None
         assert isinstance(pipeline.detector(), HelgrindDetector)
+
+    @pytest.mark.parametrize("name", ALL_PROFILES)
+    def test_hand_made_config_keeps_its_tier(self, name):
+        """A modified copy of a profile's config builds that profile's
+        detector class around the given config."""
+        cfg = profile(name).config().with_(transition_cache=False)
+        det = Pipeline(cfg).detector()
+        assert type(det) is type(profile(name).detector())
+        if hasattr(det, "config"):
+            assert det.config is cfg
+
+    def test_unregistered_config_name_builds_helgrind(self):
+        det = Pipeline(HelgrindConfig(name="custom")).detector()
+        assert type(det) is HelgrindDetector
 
     def test_unknown_name_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -339,21 +402,47 @@ class TestSession:
         resumed.feed(data[resumed.bytes_fed:])
         assert resumed.report_text() == _offline_text(path, "hwlc+dr")
 
-    def test_snapshot_restores_in_fresh_process(self, t1_trace, tmp_path):
+    @pytest.mark.parametrize(
+        "config, trace",
+        [
+            ("hwlc+dr", "t1_trace"),
+            ("original", "t1_trace"),
+            ("hybrid", "t1_trace"),
+            ("atomizer", "atomic_trace"),
+        ],
+        ids=["hwlc+dr", "original", "hybrid", "atomizer"],
+    )
+    def test_snapshot_restores_in_fresh_process(
+        self, request, tmp_path, config, trace
+    ):
         """A checkpoint must survive a *server restart*: lock-set ids
         index a process-global interning table, so a snapshot restored
         in another process — one whose table holds different sets at
         those ids — has to re-intern and remap.  (In-process restore
-        can never catch this: the global table still has the ids.)"""
+        can never catch this: the global table still has the ids.)
+
+        The stream is cut where some thread holds a lock, so the
+        per-thread effective-id tables, which restore rebuilds, are
+        not the empty set's.  The configs cover every reader of those
+        tables: the bulk pump and the per-event path (``hwlc+dr``, and
+        ``original`` for the MUTEX bus model), the hybrid nominator
+        and the atomizer's oracle — on a trace of atomic regions, the
+        only place the atomizer reads them."""
         import os
         import pathlib
         import subprocess
         import sys
 
-        path, _ = t1_trace
+        path, _ = request.getfixturevalue(trace)
         data = path.read_bytes()
-        session = Session("hwlc+dr")
-        session.feed(data[: len(data) // 2 + 5])
+        holding = _counts_holding_a_lock(data)
+        session = Session(config)
+        pos = len(data) // 2
+        session.feed(data[:pos])
+        while session.events_seen not in holding:
+            assert pos < len(data), "no lock held after the middle of T1"
+            session.feed(data[pos:pos + 16])
+            pos += 16
         blob_file = tmp_path / "snap.pkl"
         blob_file.write_bytes(session.snapshot())
 
@@ -368,6 +457,7 @@ from repro.api import Session
 session = Session.restore(open(sys.argv[1], "rb").read())
 data = open(sys.argv[2], "rb").read()
 session.feed(data[session.bytes_fed:])
+session.finalize()
 sys.stdout.write(session.report_text())
 """
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -380,7 +470,7 @@ sys.stdout.write(session.report_text())
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == _offline_text(path, "hwlc+dr")
+        assert result.stdout == _offline_text(path, config)
 
     def test_restore_preserves_pipeline_suppressions(self, t1_trace):
         """Suppressions ride through snapshot/restore at the pipeline
